@@ -39,6 +39,7 @@ const PhaseRow Rows[] = {
     {"cparser.lex", "C lexing"},
     {"cparser.parse", "C parsing"},
     {"cparser.sema", "semantic analysis"},
+    {"simpl.declare", "SIMPL declarations"},
     {"simpl.translate", "SIMPL translation"},
     {"cache.fingerprint", "cache fingerprinting"},
     {"cache.load", "cache load"},

@@ -19,8 +19,10 @@
 #      cache tiers and a shared pool, exactly where lifetime bugs hide.
 #   5. Daemon golden round trip: start a real acd, serve every golden
 #      corpus through acc --golden, byte-compare against the checked-in
-#      fixtures (cold, then warm with asserted cache hits), then
-#      SIGTERM-drain and require a clean exit.
+#      fixtures (cold, then warm with asserted cache hits); then an edit
+#      round trip — a small unit re-checked after a one-literal edit must
+#      match an uncached in-process run and miss only the edited function
+#      and its callers; then SIGTERM-drain and require a clean exit.
 #   6. Chaos: the fault-injection suite under ASan (every registered
 #      site driven through failure and recovery), the AC_FAULTS env
 #      path (a cache write torn mid-save must recover byte-identically
@@ -260,6 +262,46 @@ if ! grep -qE '"hits":[1-9]' <<<"$STATS"; then
   exit 1
 fi
 echo "daemon cache hits confirmed: $(grep -oE '"hits":[0-9]+' <<<"$STATS")"
+# Edit round trip: a small unit with a struct, a global and a call chain
+# (settle -> charge -> clamp, plus an unrelated spare), checked, then
+# re-checked after a one-literal edit to clamp. The warm answer must match
+# an uncached in-process run byte for byte (per-phase specs included),
+# and only clamp and its callers may miss.
+cat >"$ACD_DIR/edit.c" <<'EOF_UNIT'
+struct acct { unsigned int bal; unsigned int lim; };
+unsigned int fee;
+unsigned int clamp(unsigned int x) { if (x > 1000u) { return 1000u; } return x; }
+unsigned int charge(struct acct *a, unsigned int amt) {
+  unsigned int c;
+  c = clamp(amt + fee);
+  a->bal = a->bal + c;
+  return c;
+}
+unsigned int settle(struct acct *a) { unsigned int r; r = charge(a, 5u); return r + a->lim; }
+unsigned int spare(unsigned int y) { return y * 3u; }
+EOF_UNIT
+"$ACC" --socket "$SOCK" --specs "$ACD_DIR/edit.c" >"$ACD_DIR/edit.before"
+sed 's/x > 1000u/x > 2000u/' "$ACD_DIR/edit.c" >"$ACD_DIR/edit2.c"
+"$ACC" --socket "$SOCK" --specs "$ACD_DIR/edit2.c" >"$ACD_DIR/edit.after"
+AC_CACHE=0 "$ACC" --socket "$ACD_DIR/no-daemon.sock" --specs \
+  "$ACD_DIR/edit2.c" >"$ACD_DIR/edit.ref" 2>/dev/null
+# The last line is the per-run stats line ([acd] vs [local], timings).
+head -n -1 "$ACD_DIR/edit.after" >"$ACD_DIR/edit.after.specs"
+head -n -1 "$ACD_DIR/edit.ref" >"$ACD_DIR/edit.ref.specs"
+if ! cmp -s "$ACD_DIR/edit.after.specs" "$ACD_DIR/edit.ref.specs"; then
+  echo "tier-1: FAILED — warm re-check after an edit diverged from an" \
+       "uncached in-process run:" >&2
+  diff "$ACD_DIR/edit.ref.specs" "$ACD_DIR/edit.after.specs" | head >&2
+  exit 1
+fi
+EDIT_STATS="$(tail -n 1 "$ACD_DIR/edit.after")"
+if ! grep -q '^\[acd\] .*cache(hits=1 misses=3 ' <<<"$EDIT_STATS"; then
+  echo "tier-1: FAILED — the edit to clamp should miss clamp, charge and" \
+       "settle only:" >&2
+  echo "$EDIT_STATS" >&2
+  exit 1
+fi
+echo "edit round trip: $EDIT_STATS"
 # Graceful drain: SIGTERM must finish in-flight work, flush the cache,
 # remove the socket and exit 0.
 kill -TERM "$ACD_PID"

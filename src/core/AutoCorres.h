@@ -61,7 +61,7 @@ struct ACOptions {
   std::set<std::string> NoWordAbs;
   /// Worker threads for the abstraction stages. 0 = the AC_JOBS
   /// environment variable (1 when unset). Output is bit-identical at
-  /// every job count; see core/CallGraph.h.
+  /// every job count; see simpl/CallGraph.h.
   unsigned Jobs = 0;
   /// Directory of the content-addressed abstraction cache
   /// (core/ResultCache.h). Empty falls back to $AC_CACHE_DIR (and
@@ -158,6 +158,8 @@ struct FuncOutput {
 struct ACStats {
   unsigned SourceLines = 0;
   unsigned NumFunctions = 0;
+  /// Wall time of the parser stage: parse, check, the Simpl declaration
+  /// pass, and the Simpl bodies of the functions the cache did not replay.
   double ParserSeconds = 0;
   /// CPU time of the parse + translation phase (single-threaded, so
   /// normally tracks ParserSeconds minus any time blocked off-CPU).
@@ -170,6 +172,8 @@ struct ACStats {
   double AutoCorresWallSeconds = 0;
   /// Worker threads the run actually used.
   unsigned Jobs = 1;
+  /// Table 5 size columns. The parser ones sum the Simpl bodies; a cache
+  /// hit replays its body's contribution instead of translating it.
   unsigned ParserSpecLines = 0;
   unsigned ACSpecLines = 0;
   unsigned ParserTermSizeTotal = 0;
@@ -210,6 +214,9 @@ public:
   run(const std::string &Source, DiagEngine &Diags,
       const ACOptions &Opts = ACOptions());
 
+  /// The Simpl program. A function replayed from the abstraction cache
+  /// was never translated: its SimplFunc has every declaration-pass field
+  /// but a null Body.
   const simpl::SimplProgram &program() const { return *Prog; }
   monad::InterpCtx &ctx() { return Ctx; }
   const heapabs::LiftedGlobals &lifted() const { return HL->lifted(); }

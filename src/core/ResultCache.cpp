@@ -2,8 +2,6 @@
 
 #include "core/ResultCache.h"
 
-#include "core/CallGraph.h"
-#include "simpl/PrintSimpl.h"
 #include "support/FaultInject.h"
 #include "support/FileLock.h"
 #include "support/Log.h"
@@ -158,13 +156,18 @@ bool parseEntryAt(const std::string &D, size_t &P, CachedFunc &E) {
       return false;
   if (!eatLit(D, P, "\n"))
     return false;
-  uint64_t SL, TS;
-  if (!eatLit(D, P, "stat ") || !readNum(D, P, SL) || SL > 0xffffffffu ||
-      !eatLit(D, P, " ") || !readNum(D, P, TS) || TS > 0xffffffffu ||
-      !eatLit(D, P, "\n"))
+  uint64_t Stat[4];
+  if (!eatLit(D, P, "stat"))
     return false;
-  E.SpecLines = static_cast<unsigned>(SL);
-  E.TermSize = static_cast<unsigned>(TS);
+  for (uint64_t &V : Stat)
+    if (!eatLit(D, P, " ") || !readNum(D, P, V) || V > 0xffffffffu)
+      return false;
+  if (!eatLit(D, P, "\n"))
+    return false;
+  E.SpecLines = static_cast<unsigned>(Stat[0]);
+  E.TermSize = static_cast<unsigned>(Stat[1]);
+  E.ParserSpecLines = static_cast<unsigned>(Stat[2]);
+  E.ParserTermSize = static_cast<unsigned>(Stat[3]);
   if (!eatLit(D, P, "notes ") || !readNum(D, P, N) || N > 4096 ||
       !eatLit(D, P, "\n"))
     return false;
@@ -196,7 +199,8 @@ void writeEntry(std::ostream &Final, const CachedFunc &E) {
   for (const std::string &A : E.ArgNames)
     Out << " " << A;
   Out << "\n";
-  Out << "stat " << E.SpecLines << " " << E.TermSize << "\n";
+  Out << "stat " << E.SpecLines << " " << E.TermSize << " "
+      << E.ParserSpecLines << " " << E.ParserTermSize << "\n";
   Out << "notes " << E.Notes.size() << "\n";
   for (const std::string &Note : E.Notes)
     writeBlob(Out, Note);
@@ -482,92 +486,54 @@ bool ResultCache::save() {
 // Fingerprinting
 //===----------------------------------------------------------------------===//
 
-namespace {
-
-std::string typeName(const hol::TypeRef &T) {
-  return T ? hol::typeStr(T) : "<void>";
-}
-
-/// Everything program-wide that shapes rendered output beyond a single
-/// function's own body: record layouts (globals, structs, lifted_globals)
-/// and the heap-type list that drives the split-heap field generation.
-/// Per-function `<f>_state` records are hashed with their function.
-uint64_t programSalt(const simpl::SimplProgram &Prog) {
-  Fingerprint FP;
-  FP.u32(ResultCache::FormatVersion);
-  for (const auto &[Name, RI] : Prog.Records.all()) {
-    if (Name.size() > 6 && Name.rfind("_state") == Name.size() - 6)
-      continue;
-    FP.str(Name);
-    FP.u64(RI.Fields.size());
-    for (const auto &[FName, FTy] : RI.Fields) {
-      FP.str(FName);
-      FP.str(typeName(FTy));
-    }
-  }
-  FP.u64(Prog.HeapTypes.size());
-  for (const hol::TypeRef &T : Prog.HeapTypes)
-    FP.str(typeName(T));
-  return FP.digest();
-}
-
-/// One function's own contribution: signature, locals (they shape the
-/// Simpl state record), options, and the rendered Simpl body.
-void hashFunction(Fingerprint &FP, const simpl::SimplFunc &F,
-                  bool NoHL, bool NoWA) {
-  FP.str(F.Name);
-  FP.boolean(NoHL);
-  FP.boolean(NoWA);
-  FP.boolean(F.IsRecursive);
-  FP.u64(F.Params.size());
-  for (const auto &[Name, Ty] : F.Params) {
-    FP.str(Name);
-    FP.str(typeName(Ty));
-  }
-  FP.u64(F.Locals.size());
-  for (const auto &[Name, Ty] : F.Locals) {
-    FP.str(Name);
-    FP.str(typeName(Ty));
-  }
-  FP.str(typeName(F.RetTy));
-  FP.str(simpl::printSimplFunc(F));
-}
-
-} // namespace
-
 std::map<std::string, uint64_t>
 core::computeFunctionKeys(const simpl::SimplProgram &Prog,
                           const std::set<std::string> &NoHeapAbs,
                           const std::set<std::string> &NoWordAbs) {
-  uint64_t Salt = programSalt(Prog);
-  CallGraphSchedule Sched = buildCallGraphSchedule(Prog);
+  // The salt: everything program-wide a body's translation reads beyond
+  // its own definition and its callees' — struct layouts, globals and
+  // prototypes (as their tokens) and the heap types, in order, which
+  // shape the lifted_globals record.
+  Fingerprint SaltFP;
+  SaltFP.u32(ResultCache::FormatVersion);
+  SaltFP.u64(Prog.TU->DeclDigests.size());
+  for (uint64_t D : Prog.TU->DeclDigests)
+    SaltFP.u64(D);
+  SaltFP.u64(Prog.HeapTypes.size());
+  for (const hol::TypeRef &T : Prog.HeapTypes)
+    SaltFP.str(hol::typeStr(T));
+  const uint64_t Salt = SaltFP.digest();
 
-  std::map<std::string, size_t> SCCOf;
-  for (size_t I = 0; I != Sched.SCCs.size(); ++I)
-    for (const std::string &Name : Sched.SCCs[I])
-      SCCOf.emplace(Name, I);
-
-  std::map<std::string, uint64_t> Keys;
+  const std::vector<std::string> &Order = Prog.FunctionOrder;
+  const simpl::CallGraph &CG = Prog.Calls;
+  std::vector<uint64_t> Keys(Order.size());
   // Callee-first topological order: external callee keys always exist.
-  for (size_t I = 0; I != Sched.SCCs.size(); ++I) {
+  for (size_t C = 0; C != CG.SCCs.size(); ++C) {
     Fingerprint FP(Salt);
-    for (const std::string &Name : Sched.SCCs[I]) {
-      const simpl::SimplFunc *F = Prog.function(Name);
-      hashFunction(FP, *F, NoHeapAbs.count(Name) != 0,
-                   NoWordAbs.count(Name) != 0);
-      for (const std::string &Callee : calleesOf(Prog, *F)) {
-        if (SCCOf.at(Callee) == I)
-          continue; // intra-SCC: the member bodies above cover it
-        FP.str(Callee);
-        FP.u64(Keys.at(Callee));
+    for (unsigned I : CG.SCCs[C]) {
+      const simpl::SimplFunc &F = *Prog.function(Order[I]);
+      FP.str(F.Name);
+      FP.u64(F.Decl->TokenDigest);
+      FP.u32(F.Decl->HoistBase);
+      FP.boolean(NoHeapAbs.count(F.Name) != 0);
+      FP.boolean(NoWordAbs.count(F.Name) != 0);
+      FP.boolean(F.IsRecursive);
+      for (unsigned Callee : CG.Callees[I]) {
+        if (CG.SCCOf[Callee] == C)
+          continue; // intra-SCC: the member digests above cover it
+        FP.str(Order[Callee]);
+        FP.u64(Keys[Callee]);
       }
     }
-    uint64_t SCCKey = FP.digest();
-    for (const std::string &Name : Sched.SCCs[I]) {
+    const uint64_t SCCKey = FP.digest();
+    for (unsigned I : CG.SCCs[C]) {
       Fingerprint MF(SCCKey);
-      MF.str(Name);
-      Keys[Name] = MF.digest();
+      MF.str(Order[I]);
+      Keys[I] = MF.digest();
     }
   }
-  return Keys;
+  std::map<std::string, uint64_t> Out;
+  for (size_t I = 0; I != Order.size(); ++I)
+    Out.emplace(Order[I], Keys[I]);
+  return Out;
 }

@@ -8,9 +8,10 @@
 /// A content-addressed, on-disk cache of per-function pipeline results.
 /// In an interactive verification workflow only a handful of functions
 /// change between runs, so the driver fingerprints every function's
-/// pipeline *inputs* — its Simpl body and signature, the per-function
-/// options that affect output, and (transitively) its callees'
-/// fingerprints, so invalidation flows up the call graph — and skips the
+/// pipeline *inputs* — its definition's tokens, the program-wide
+/// declarations and heap types, the per-function options that affect
+/// output, and (transitively) its callees' fingerprints, so invalidation
+/// flows up the call graph — and skips the Simpl body translation and the
 /// whole L1 -> L2 -> HL -> WA chain for functions whose fingerprint has a
 /// cached entry. Cached output is bit-identical to a cold run at any job
 /// count; the golden-spec snapshot suite and the cache-equivalence test
@@ -66,6 +67,10 @@ struct CachedFunc {
   /// Table 5 contributions of the final body.
   unsigned SpecLines = 0;
   unsigned TermSize = 0;
+  /// Table 5 contributions of the Simpl body, so that a hit needs no
+  /// Simpl translation.
+  unsigned ParserSpecLines = 0;
+  unsigned ParserTermSize = 0;
 };
 
 /// A shared, immutable cached entry. Lookups hand out shared ownership so
@@ -88,7 +93,7 @@ public:
   virtual void put(const CachedFunc &E) = 0;
 };
 
-/// Serializes one entry in the v2 on-disk record format (CRC trailer
+/// Serializes one entry in the on-disk record format (CRC trailer
 /// included) — also the wire blob of the remote tier, so a remote entry
 /// is checked by exactly the code path that checks a disk entry.
 std::string serializeCachedFunc(const CachedFunc &E);
@@ -123,7 +128,8 @@ public:
   /// Bump when CachedFunc gains fields or the key derivation changes;
   /// older files are then ignored wholesale (stale == miss).
   /// v2: per-entry CRC-32 trailer, strict line framing.
-  static constexpr unsigned FormatVersion = 2;
+  /// v3: keys from token digests; the Simpl body's Table 5 statistics.
+  static constexpr unsigned FormatVersion = 3;
 
   /// Loads the cache file under \p Dir (created on save if absent).
   /// Unreadable or corrupt content yields an empty (all-miss) cache.
@@ -189,13 +195,23 @@ private:
   mutable std::mutex M;
 };
 
-/// Computes every function's content fingerprint, callee-first. The key
-/// covers the Simpl body and signature, the per-function NoHeapAbs /
-/// NoWordAbs options, a whole-program salt (record layouts and heap types,
-/// which shape the lifted_globals state), and the keys of all callees —
-/// mutating one function therefore re-keys exactly that function and its
-/// transitive callers. Mutually recursive functions share an SCC-level
-/// fingerprint, salted per member.
+/// Computes every function's content fingerprint, callee-first, from
+/// what the parser and the Simpl declaration pass recorded — no body needs
+/// to be translated. A key covers:
+///   - the salt: FormatVersion, the tokens of every top-level declaration
+///     that is not a function definition (struct layouts, globals,
+///     prototypes), and the ordered heap-type list, which shapes the
+///     lifted_globals record;
+///   - the function's own definition tokens (signature, locals, body),
+///     its first hoisted-call temporary (the only cross-function state
+///     Sema threads through a unit), its NoHeapAbs / NoWordAbs options
+///     and IsRecursive;
+///   - the keys of all callees, folded in over the SCCs of
+///     SimplProgram::Calls. Mutually recursive functions share an
+///     SCC-level fingerprint, salted per member.
+/// Token digests leave out source locations, and no cached artefact
+/// carries one, so a whitespace or comment edit keeps every key. Editing
+/// one function re-keys exactly it and its transitive callers.
 std::map<std::string, uint64_t>
 computeFunctionKeys(const simpl::SimplProgram &Prog,
                     const std::set<std::string> &NoHeapAbs,

@@ -20,6 +20,7 @@
 #include "cparser/CTypes.h"
 #include "support/Diagnostics.h"
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -131,6 +132,16 @@ struct FuncDecl {
   std::vector<ParamDecl> Params;
   StmtPtr Body; ///< null for a prototype
   SourceLoc Loc;
+  /// Digest of the definition's tokens (kinds and spellings, never
+  /// locations), recorded by the parser: whitespace and comments do not
+  /// move it. Zero for a prototype, whose tokens land in
+  /// TranslationUnit::DeclDigests instead.
+  uint64_t TokenDigest = 0;
+  /// Index of the first `call_tmp__N` temporary Sema's call hoisting gave
+  /// this function (0 when it hoisted none). The counter runs across the
+  /// whole unit, so a hoisted call added to an earlier function renames
+  /// this one's temporaries.
+  unsigned HoistBase = 0;
 };
 
 struct GlobalVarDecl {
@@ -162,6 +173,10 @@ struct TranslationUnit {
   /// Counts physical source lines that contain code (the Table 5 LoC
   /// metric); recorded by the parser.
   unsigned SourceLines = 0;
+  /// Token digests (as FuncDecl::TokenDigest) of every top-level
+  /// declaration that is not a function definition — structs, globals,
+  /// prototypes — in source order; recorded by the parser.
+  std::vector<uint64_t> DeclDigests;
 };
 
 } // namespace ac::cparser

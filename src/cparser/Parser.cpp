@@ -3,6 +3,7 @@
 #include "cparser/Parser.h"
 
 #include "cparser/Lexer.h"
+#include "support/Fingerprint.h"
 #include "support/Trace.h"
 
 using namespace ac;
@@ -41,8 +42,14 @@ public:
     auto TU = std::make_unique<TranslationUnit>();
     Unit = TU.get();
     while (!cur().is(TokKind::End)) {
+      size_t Start = Pos, NumFns = Unit->Functions.size();
       if (!parseTopLevel())
         return nullptr;
+      uint64_t Digest = tokenDigest(Start, Pos);
+      if (Unit->Functions.size() != NumFns && Unit->Functions.back()->Body)
+        Unit->Functions.back()->TokenDigest = Digest;
+      else
+        Unit->DeclDigests.push_back(Digest);
     }
     return TU;
   }
@@ -78,6 +85,20 @@ private:
   bool error(const std::string &Msg) {
     Diags.error(cur().Loc, Msg);
     return false;
+  }
+
+  /// Digest of the tokens in [Begin, End): kinds and spellings only, so
+  /// layout and comments never reach it. Each token feeds its kind, its
+  /// text and a NUL, which no spelling contains, so token boundaries are
+  /// unambiguous.
+  uint64_t tokenDigest(size_t Begin, size_t End) const {
+    support::Fingerprint FP;
+    for (size_t I = Begin; I != End; ++I) {
+      const unsigned char Kind = static_cast<unsigned char>(Toks[I].Kind);
+      FP.bytes(&Kind, 1);
+      FP.bytes(Toks[I].Text.data(), Toks[I].Text.size() + 1);
+    }
+    return FP.digest();
   }
 
   //===--------------------------------------------------------------------===//

@@ -499,9 +499,14 @@ public:
       : TU(TU), Diags(Diags) {}
 
   bool run() {
-    for (auto &F : TU.Functions)
-      if (F->Body && !hoistStmt(F->Body))
+    for (auto &F : TU.Functions) {
+      if (!F->Body)
+        continue;
+      unsigned Base = Counter;
+      if (!hoistStmt(F->Body))
         return false;
+      F->HoistBase = Counter != Base ? Base : 0;
+    }
     return true;
   }
 

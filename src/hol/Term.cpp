@@ -7,6 +7,8 @@
 #include <algorithm>
 #include <functional>
 #include <map>
+#include <mutex>
+#include <unordered_set>
 
 using namespace ac::hol;
 
@@ -27,6 +29,27 @@ static InternStore<Term> &termStore() {
 }
 
 size_t ac::hol::internedTermCount() { return termStore().size(); }
+
+const std::string &Term::noName() {
+  static const std::string *Empty = new std::string();
+  return *Empty;
+}
+
+/// The immortal, deduplicated name a node points to: a few thousand
+/// distinct names recur on most of the nodes. Only a miss in the term
+/// store interns a name, so lookups never touch the pool.
+static const std::string *internName(const std::string &Name) {
+  constexpr unsigned ShardCount = 64;
+  struct Shard {
+    std::mutex M;
+    std::unordered_set<std::string> Names;
+  };
+  // Leaked like the term store: names must outlive every node.
+  static Shard *Shards = new Shard[ShardCount];
+  Shard &S = Shards[std::hash<std::string>()(Name) % ShardCount];
+  std::lock_guard<std::mutex> L(S.M);
+  return &*S.Names.insert(Name).first;
+}
 
 /// If \p T is `Pair a b`, fills A/B.
 static bool destPairApp(const TermRef &T, TermRef &A, TermRef &B) {
@@ -60,16 +83,16 @@ TermRef Term::mkConst(const std::string &Name, TypeRef Ty) {
   return termStore().get(
       H,
       [&](const Term &R) {
-        return R.isConst() && R.Ty.get() == Ty.get() && R.Name == Name;
+        return R.isConst() && R.Ty == Ty.get() && *R.Name == Name;
       },
       [&](uint64_t Id) {
         Term T;
         T.K = Kind::Const;
-        T.Name = Name;
+        T.Name = internName(Name);
         T.Hash = H;
         T.Id = Id;
         T.TyVar = Ty->hasVar();
-        T.Ty = std::move(Ty);
+        T.Ty = Ty.get();
         return T;
       });
 }
@@ -82,16 +105,16 @@ TermRef Term::mkFree(const std::string &Name, TypeRef Ty) {
   return termStore().get(
       H,
       [&](const Term &R) {
-        return R.isFree() && R.Ty.get() == Ty.get() && R.Name == Name;
+        return R.isFree() && R.Ty == Ty.get() && *R.Name == Name;
       },
       [&](uint64_t Id) {
         Term T;
         T.K = Kind::Free;
-        T.Name = Name;
+        T.Name = internName(Name);
         T.Hash = H;
         T.Id = Id;
         T.TyVar = Ty->hasVar();
-        T.Ty = std::move(Ty);
+        T.Ty = Ty.get();
         return T;
       });
 }
@@ -102,19 +125,19 @@ TermRef Term::mkVar(const std::string &Name, unsigned Index, TypeRef Ty) {
   return termStore().get(
       H,
       [&](const Term &R) {
-        return R.isVar() && R.Index == Index && R.Ty.get() == Ty.get() &&
-               R.Name == Name;
+        return R.isVar() && R.Index == Index && R.Ty == Ty.get() &&
+               *R.Name == Name;
       },
       [&](uint64_t Id) {
         Term T;
         T.K = Kind::Var;
-        T.Name = Name;
+        T.Name = internName(Name);
         T.Index = Index;
         T.Hash = H;
         T.Id = Id;
         T.Schematic = true;
         T.TyVar = Ty->hasVar();
-        T.Ty = std::move(Ty);
+        T.Ty = Ty.get();
         return T;
       });
 }
@@ -143,13 +166,13 @@ TermRef Term::mkLam(const std::string &Name, TypeRef ArgTy, TermRef Body) {
   return termStore().get(
       H,
       [&](const Term &R) {
-        return R.isLam() && R.A.get() == Body.get() &&
-               R.Ty.get() == ArgTy.get() && R.Name == Name;
+        return R.isLam() && R.A == Body.get() &&
+               R.Ty == ArgTy.get() && *R.Name == Name;
       },
       [&](uint64_t Id) {
         Term T;
         T.K = Kind::Lam;
-        T.Name = Name;
+        T.Name = internName(Name);
         T.Hash = H;
         T.Id = Id;
         T.Size = 1 + Body->size();
@@ -157,8 +180,8 @@ TermRef Term::mkLam(const std::string &Name, TypeRef ArgTy, TermRef Body) {
         T.Schematic = Body->hasSchematic();
         T.TyVar = ArgTy->hasVar() || Body->hasTyVar();
         T.BetaNormal = Body->isBetaNormal();
-        T.Ty = std::move(ArgTy);
-        T.A = std::move(Body);
+        T.Ty = ArgTy.get();
+        T.A = Body.get();
         return T;
       });
 }
@@ -169,7 +192,7 @@ TermRef Term::mkApp(TermRef F, TermRef X) {
   return termStore().get(
       H,
       [&](const Term &R) {
-        return R.isApp() && R.A.get() == F.get() && R.B.get() == X.get();
+        return R.isApp() && R.A == F.get() && R.B == X.get();
       },
       [&](uint64_t Id) {
         Term T;
@@ -182,8 +205,8 @@ TermRef Term::mkApp(TermRef F, TermRef X) {
         T.TyVar = F->hasTyVar() || X->hasTyVar();
         T.BetaNormal =
             F->isBetaNormal() && X->isBetaNormal() && !isRootRedex(F, X);
-        T.A = std::move(F);
-        T.B = std::move(X);
+        T.A = F.get();
+        T.B = X.get();
         return T;
       });
 }
@@ -196,7 +219,7 @@ TermRef Term::mkNum(Int128 Value, TypeRef Ty) {
   return termStore().get(
       H,
       [&](const Term &R) {
-        return R.isNum() && R.Value == Value && R.Ty.get() == Ty.get();
+        return R.isNum() && R.Value == Value && R.Ty == Ty.get();
       },
       [&](uint64_t Id) {
         Term T;
@@ -205,7 +228,7 @@ TermRef Term::mkNum(Int128 Value, TypeRef Ty) {
         T.Hash = H;
         T.Id = Id;
         T.TyVar = Ty->hasVar();
-        T.Ty = std::move(Ty);
+        T.Ty = Ty.get();
         return T;
       });
 }

@@ -72,7 +72,7 @@ public:
   Kind kind() const { return K; }
   bool isConst() const { return K == Kind::Const; }
   bool isConst(const std::string &N) const {
-    return K == Kind::Const && Name == N;
+    return K == Kind::Const && *Name == N;
   }
   bool isFree() const { return K == Kind::Free; }
   bool isVar() const { return K == Kind::Var; }
@@ -82,26 +82,26 @@ public:
   bool isNum() const { return K == Kind::Num; }
 
   /// Const/Free/Var name; Lam display name.
-  const std::string &name() const { return Name; }
+  const std::string &name() const { return *Name; }
   /// Const/Free/Var/Num type; Lam argument type.
-  const TypeRef &type() const { return Ty; }
+  TypeRef type() const { return TypeRef(TypeRef(), Ty); }
   /// Bound index; Var freshness index.
   unsigned index() const { return Index; }
   /// Numeric literal value.
   Int128 value() const { return Value; }
 
   /// App function / Lam body.
-  const TermRef &fun() const {
+  TermRef fun() const {
     assert(K == Kind::App);
-    return A;
+    return TermRef(TermRef(), A);
   }
-  const TermRef &argTerm() const {
+  TermRef argTerm() const {
     assert(K == Kind::App);
-    return B;
+    return TermRef(TermRef(), B);
   }
-  const TermRef &body() const {
+  TermRef body() const {
     assert(K == Kind::Lam);
-    return A;
+    return TermRef(TermRef(), A);
   }
 
   size_t hash() const { return Hash; }
@@ -135,12 +135,11 @@ public:
   /// shard's deque). There is no public way to obtain a non-const Term,
   /// so this cannot move a live node out from under its aliases.
   Term(Term &&O) noexcept
-      : K(O.K), Name(std::move(O.Name)), Ty(std::move(O.Ty)),
-        Index(O.Index), Value(O.Value), A(std::move(O.A)),
-        B(std::move(O.B)), Hash(O.Hash), Id(O.Id), Size(O.Size),
-        MaxLoose(O.MaxLoose), Schematic(O.Schematic), TyVar(O.TyVar),
-        BetaNormal(O.BetaNormal),
-        CachedTy(O.CachedTy.load(std::memory_order_relaxed)) {}
+      : Value(O.Value), Name(O.Name), Ty(O.Ty), A(O.A), B(O.B),
+        Hash(O.Hash), Id(O.Id),
+        CachedTy(O.CachedTy.load(std::memory_order_relaxed)), K(O.K),
+        Index(O.Index), Size(O.Size), MaxLoose(O.MaxLoose),
+        Schematic(O.Schematic), TyVar(O.TyVar), BetaNormal(O.BetaNormal) {}
 
   //===--------------------------------------------------------------------===//
   // Factories (all interning: equal structure => same node)
@@ -155,24 +154,29 @@ public:
   static TermRef mkNum(Int128 Value, TypeRef Ty);
 
 private:
-  Term() = default;
+  Term() : Name(&noName()) {}
+  static const std::string &noName();
 
-  Kind K;
-  std::string Name;
-  TypeRef Ty;
-  unsigned Index = 0;
+  // Nodes are immortal and a long-lived process accumulates hundreds of
+  // thousands of them, so the layout is packed: children and types are
+  // plain pointers to (immortal) interned nodes, names point into a
+  // deduplicated pool, and fields are ordered largest first.
   Int128 Value = 0;
-  TermRef A, B;
+  const std::string *Name;
+  const Type *Ty = nullptr;
+  const Term *A = nullptr, *B = nullptr;
   size_t Hash = 0;
   uint64_t Id = 0;
+  /// Lazily computed type of a closed term (nullptr until first typeOf).
+  /// Benign to race: every writer stores the same canonical pointer.
+  mutable std::atomic<const Type *> CachedTy{nullptr};
+  Kind K = Kind::Const;
+  unsigned Index = 0;
   unsigned Size = 1;
   unsigned MaxLoose = 0;
   bool Schematic = false;
   bool TyVar = false;
   bool BetaNormal = true;
-  /// Lazily computed type of a closed term (nullptr until first typeOf).
-  /// Benign to race: every writer stores the same canonical pointer.
-  mutable std::atomic<const Type *> CachedTy{nullptr};
 };
 
 /// Structural (de Bruijn alpha-) equality. Canonical refs to identical

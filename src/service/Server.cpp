@@ -145,6 +145,15 @@ bool Server::start() {
   if (Opts.TraceLive) {
     support::Trace::setRole("shard");
     support::Trace::start();
+  } else if (!Opts.TraceDir.empty()) {
+    // Per-request trace files. Collecting from start-up, not from the
+    // first request's run, gives that request its acd.request root span
+    // (opened before the run) like every later one. Rule fire counts ride
+    // along in each trace's ruleProfile key; the profiler is cumulative
+    // across requests (concurrent workers share it, like the span
+    // buffers).
+    support::RuleProfile::setEnabled(true);
+    support::Trace::start();
   }
   Started = true;
   if (Listen.valid())
@@ -673,18 +682,12 @@ void Server::runRequest(Request &R) {
     Ctx.SharedPool = Pool.get();
   }
 
-  // Per-request tracing: spans recorded during this run (and, with
-  // concurrent workers, any overlapping run) flush to one file named by
-  // the request's correlation id. Disabled in live fleet mode — the
-  // flush-reset would drain the buffers trace_pull is collecting.
+  // Per-request tracing (collection started in start()): spans recorded
+  // during this run (and, with concurrent workers, any overlapping run)
+  // flush to one file named by the request's correlation id. Disabled in
+  // live fleet mode — the flush-reset would drain the buffers trace_pull
+  // is collecting.
   bool Tracing = !Opts.TraceDir.empty() && !Opts.TraceLive;
-  if (Tracing) {
-    // Rule fire counts ride along in each trace's ruleProfile key. The
-    // profiler is cumulative across requests (concurrent workers share
-    // it, like the span buffers).
-    support::RuleProfile::setEnabled(true);
-    support::Trace::start();
-  }
 
   CheckResponse Resp = runCheck(R.Req, Ctx);
 

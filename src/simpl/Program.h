@@ -19,6 +19,7 @@
 #include "cparser/AST.h"
 #include "hol/Builder.h"
 #include "hol/Record.h"
+#include "simpl/CallGraph.h"
 #include "simpl/Simpl.h"
 
 #include <map>
@@ -59,15 +60,19 @@ private:
   const cparser::LayoutMap &Layout;
 };
 
-/// One translated function.
+/// One translated function. The declaration pass fills in everything
+/// but Body; the body pass translates Body.
 struct SimplFunc {
   std::string Name;
+  /// The definition in Prog.TU this function was translated from.
+  const cparser::FuncDecl *Decl = nullptr;
   std::vector<std::pair<std::string, hol::TypeRef>> Params;
   hol::TypeRef RetTy; ///< null for void
   /// All locals (excluding params), including `ret` when non-void.
   std::vector<std::pair<std::string, hol::TypeRef>> Locals;
   std::string StateRecName;
   hol::TypeRef StateTy;
+  /// Null until the body pass has run for this function.
   SimplStmtPtr Body;
   bool IsRecursive = false;
 };
@@ -80,8 +85,11 @@ struct SimplProgram {
   std::map<std::string, SimplFunc> Functions;
   std::vector<std::string> FunctionOrder;
   /// Heap pointee HOL types the program reads or writes (drives the
-  /// split-heap record generation of Sec 4.4).
+  /// split-heap record generation of Sec 4.4), in the order the bodies
+  /// first access them.
   std::vector<hol::TypeRef> HeapTypes;
+  /// Who calls whom, over FunctionOrder indices.
+  CallGraph Calls;
 
   const SimplFunc *function(const std::string &Name) const {
     auto It = Functions.find(Name);
@@ -91,8 +99,24 @@ struct SimplProgram {
   const cparser::LayoutMap &layout() const { return TU->Layout; }
 };
 
-/// Runs the parser stage: Sema followed by Simpl translation with guard
-/// emission. Returns nullptr with diagnostics on failure.
+/// The declaration pass: everything program-wide a function body's
+/// translation reads, computed from the typed AST without translating any
+/// body — the globals record, every struct and `<f>_state` record, all
+/// signatures and locals, the heap types, and the call graph (which sets
+/// IsRecursive). It also reports every error the body pass could hit, so
+/// a program it accepts translates. Returns nullptr with diagnostics on
+/// failure.
+std::unique_ptr<SimplProgram>
+translateDeclarations(std::unique_ptr<cparser::TranslationUnit> TU,
+                      DiagEngine &Diags);
+
+/// The body pass for FunctionOrder[\p Idx] of a program the declaration
+/// pass accepted. Reads the program-wide state and changes none of it, so
+/// bodies may be translated in any order, or only some of them.
+void translateBody(SimplProgram &Prog, size_t Idx);
+
+/// Runs the parser stage: the declaration pass, then every body.
+/// Returns nullptr with diagnostics on failure.
 std::unique_ptr<SimplProgram>
 translateToSimpl(std::unique_ptr<cparser::TranslationUnit> TU,
                  DiagEngine &Diags);
@@ -100,6 +124,10 @@ translateToSimpl(std::unique_ptr<cparser::TranslationUnit> TU,
 /// Convenience: parse + check + translate in one call.
 std::unique_ptr<SimplProgram> parseAndTranslate(const std::string &Source,
                                                 DiagEngine &Diags);
+
+/// Parse + check + the declaration pass: no body is translated.
+std::unique_ptr<SimplProgram> parseAndDeclare(const std::string &Source,
+                                              DiagEngine &Diags);
 
 } // namespace ac::simpl
 

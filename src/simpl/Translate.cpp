@@ -31,6 +31,8 @@
 #include "hol/GroundEval.h"
 #include "support/Trace.h"
 
+#include <algorithm>
+#include <map>
 #include <set>
 
 using namespace ac;
@@ -110,33 +112,73 @@ using Guard = std::pair<GuardKind, TermRef>;
 
 class Translator {
 public:
-  Translator(SimplProgram &Prog, DiagEngine &Diags)
-      : Prog(Prog), Diags(Diags), TM(Prog.Records, Prog.TU->Layout) {}
+  explicit Translator(SimplProgram &Prog)
+      : Prog(Prog), TM(Prog.Records, Prog.TU->Layout) {}
 
-  bool run() {
+  /// The declaration pass (see Program.h).
+  bool declare(DiagEngine &D) {
+    Diags = &D;
     defineGlobalsRecord();
     for (auto &F : Prog.TU->Functions) {
       if (!F->Body)
         continue;
-      if (!translateFunction(*F))
-        return false;
+      if (FnIndex.count(F->Name))
+        return err(F->Loc, "redefinition of function '" + F->Name + "'");
+      FnIndex.emplace(F->Name, Prog.FunctionOrder.size());
+      declareFunction(*F);
       Prog.FunctionOrder.push_back(F->Name);
     }
-    markRecursion();
-    return !Diags.hasErrors();
+    std::vector<std::vector<unsigned>> Callees(Prog.FunctionOrder.size());
+    for (unsigned I = 0; I != Callees.size(); ++I) {
+      CurCallees = &Callees[I];
+      if (!scanStmt(*Prog.Functions.at(Prog.FunctionOrder[I]).Decl->Body))
+        return false;
+    }
+    Prog.Calls = buildCallGraph(std::move(Callees));
+    for (unsigned I = 0; I != Prog.FunctionOrder.size(); ++I)
+      Prog.Functions.at(Prog.FunctionOrder[I]).IsRecursive =
+          Prog.Calls.isRecursive(I);
+    return !D.hasErrors();
+  }
+
+  /// The body pass for one declared function.
+  void translateBody(SimplFunc &SF) {
+    CurSF = &SF;
+    SVar = Term::mkFree("s", SF.StateTy);
+
+    SimplStmtPtr Body = transStmt(*SF.Decl->Body);
+    assert(Body && "the declaration pass rejects every failing body");
+
+    std::vector<SimplStmtPtr> Tail;
+    Tail.push_back(Body);
+    if (SF.RetTy) {
+      // Falling off the end of a non-void function is undefined.
+      Tail.push_back(
+          SimplStmt::mkGuard(GuardKind::DontReach, lamS(mkFalse())));
+    } else {
+      // Implicit return.
+      Tail.push_back(basic(setStateField(exnVarName(), exnReturn())));
+      Tail.push_back(SimplStmt::mkThrow());
+    }
+    SF.Body =
+        SimplStmt::mkTryCatch(SimplStmt::mkSeqs(std::move(Tail)),
+                              SimplStmt::mkSkip(), FrameKind::FunctionBody);
   }
 
 private:
   SimplProgram &Prog;
-  DiagEngine &Diags;
   TypeMapper TM;
-  const cparser::FuncDecl *CurFn = nullptr;
   SimplFunc *CurSF = nullptr;
   TermRef SVar; ///< the state variable `s` as a Free
+
+  // Declaration-pass state.
+  DiagEngine *Diags = nullptr;
+  std::map<std::string, unsigned> FnIndex; ///< name -> FunctionOrder index
+  std::vector<unsigned> *CurCallees = nullptr; ///< the scanned body's row
   std::set<std::string> HeapTypeNames;
 
   bool err(SourceLoc Loc, const std::string &Msg) {
-    Diags.error(Loc, Msg);
+    Diags->error(Loc, Msg);
     return false;
   }
 
@@ -237,10 +279,11 @@ private:
       collectLocals(*S.Else, Out);
   }
 
-  bool translateFunction(const cparser::FuncDecl &F) {
-    CurFn = &F;
+  /// Signature, locals and the `<f>_state` record of one definition.
+  void declareFunction(const cparser::FuncDecl &F) {
     SimplFunc SF;
     SF.Name = F.Name;
+    SF.Decl = &F;
     SF.StateRecName = F.Name + "_state";
     SF.RetTy = F.RetType->isVoid() ? nullptr : TM.holType(F.RetType);
 
@@ -266,63 +309,112 @@ private:
     RI.Fields.emplace_back("globals", Prog.GlobalsTy);
     Prog.Records.define(std::move(RI));
     SF.StateTy = recordTy(SF.StateRecName);
+    Prog.Functions.emplace(F.Name, std::move(SF));
+  }
 
-    CurSF = &Prog.Functions.emplace(F.Name, std::move(SF)).first->second;
-    SVar = Term::mkFree("s", CurSF->StateTy);
+  //===------------------------------------------------------------------===//
+  // Typed-AST scan (declaration pass)
+  //===------------------------------------------------------------------===//
 
-    SimplStmtPtr Body = transStmt(*F.Body);
-    if (!Body)
-      return false;
-
-    std::vector<SimplStmtPtr> Tail;
-    Tail.push_back(Body);
-    if (CurSF->RetTy) {
-      // Falling off the end of a non-void function is undefined.
-      Tail.push_back(
-          SimplStmt::mkGuard(GuardKind::DontReach, lamS(mkFalse())));
-    } else {
-      // Implicit return.
-      Tail.push_back(basic(setStateField(exnVarName(), exnReturn())));
-      Tail.push_back(SimplStmt::mkThrow());
+  /// Visits a body's statements and expressions in exactly the order the
+  /// body pass translates them, so that heap types are noted in the order
+  /// a full translation first accesses them. Along the way it registers
+  /// every record type the body pass maps, collects the callees, and
+  /// rejects calls the body pass could not translate.
+  bool scanStmt(const Stmt &S) {
+    switch (S.K) {
+    case Stmt::Kind::Compound:
+      for (const auto &Sub : S.Body)
+        if (!scanStmt(*Sub))
+          return false;
+      return true;
+    case Stmt::Kind::Empty:
+    case Stmt::Kind::Break:
+    case Stmt::Kind::Continue:
+      return true;
+    case Stmt::Kind::Decl:
+      scanExpr(S.DeclInit.get());
+      return true;
+    case Stmt::Kind::Assign:
+      if (S.Value->K == Expr::Kind::Call) {
+        if (!scanCall(*S.Value, S.Loc))
+          return false;
+      } else {
+        scanExpr(S.Value.get());
+      }
+      scanExpr(S.Target.get());
+      return true;
+    case Stmt::Kind::CallStmt:
+      return scanCall(*S.CallExpr, S.Loc);
+    case Stmt::Kind::Return:
+      scanExpr(S.Value.get());
+      return true;
+    case Stmt::Kind::If:
+      scanExpr(S.Cond.get());
+      return scanStmt(*S.Then) && (!S.Else || scanStmt(*S.Else));
+    case Stmt::Kind::While:
+    case Stmt::Kind::DoWhile:
+      // transLoop translates the condition before the body, do-while too.
+      scanExpr(S.Cond.get());
+      return scanStmt(*S.Then);
+    case Stmt::Kind::For:
+      if (S.ForInit && !scanStmt(*S.ForInit))
+        return false;
+      scanExpr(S.Cond.get());
+      return scanStmt(*S.Then) && (!S.ForStep || scanStmt(*S.ForStep));
     }
-    CurSF->Body =
-        SimplStmt::mkTryCatch(SimplStmt::mkSeqs(std::move(Tail)),
-                              SimplStmt::mkSkip(), FrameKind::FunctionBody);
     return true;
   }
 
-  void markRecursion() {
-    // A function is recursive if it can reach itself in the call graph.
-    for (auto &[Name, F] : Prog.Functions) {
-      std::set<std::string> Seen;
-      std::vector<std::string> Work{Name};
-      bool Rec = false;
-      while (!Work.empty() && !Rec) {
-        std::string Cur = Work.back();
-        Work.pop_back();
-        const SimplFunc *CF = Prog.function(Cur);
-        if (!CF)
-          continue;
-        std::vector<const SimplStmt *> Stack{CF->Body.get()};
-        while (!Stack.empty()) {
-          const SimplStmt *S = Stack.back();
-          Stack.pop_back();
-          if (!S)
-            continue;
-          if (S->kind() == SimplStmt::Kind::Call) {
-            if (S->Callee == Name) {
-              Rec = true;
-              break;
-            }
-            if (Seen.insert(S->Callee).second)
-              Work.push_back(S->Callee);
-          }
-          Stack.push_back(S->A.get());
-          Stack.push_back(S->B.get());
-        }
-      }
-      F.IsRecursive = Rec;
+  bool scanCall(const Expr &CallE, SourceLoc Loc) {
+    const cparser::FuncDecl *Callee = Prog.TU->function(CallE.Name);
+    assert(Callee && "Sema resolved the callee");
+    if (!Callee->Body)
+      return err(Loc, "call to function '" + CallE.Name +
+                          "' which has no body in this translation unit");
+    for (const auto &A : CallE.Args)
+      scanExpr(A.get());
+    unsigned I = FnIndex.at(CallE.Name);
+    if (std::find(CurCallees->begin(), CurCallees->end(), I) ==
+        CurCallees->end())
+      CurCallees->push_back(I);
+    return true;
+  }
+
+  /// Operands first, then the node: the body pass notes a heap access
+  /// after translating the pointer it goes through.
+  void scanExpr(const Expr *E) {
+    if (!E)
+      return;
+    scanExpr(E->A.get());
+    scanExpr(E->B.get());
+    scanExpr(E->C.get());
+    switch (E->K) {
+    case Expr::Kind::Unary:
+      if (E->UOp == UnOp::Deref)
+        noteHeapType(E->A->Type->pointee());
+      break;
+    case Expr::Kind::Member:
+      if (E->Arrow)
+        noteHeapType(E->A->Type->pointee());
+      break;
+    case Expr::Kind::Cast:
+      TM.holType(E->Type);
+      break;
+    case Expr::Kind::Binary:
+      if (E->A->Type->isPointer() &&
+          (E->BOp == BinOp::Add || E->BOp == BinOp::Sub))
+        TM.holType(E->A->Type->pointee());
+      break;
+    default:
+      break;
     }
+  }
+
+  void noteHeapType(const CTypeRef &CTy) {
+    TypeRef T = TM.holType(CTy);
+    if (HeapTypeNames.insert(typeStr(T)).second)
+      Prog.HeapTypes.push_back(T);
   }
 
   //===------------------------------------------------------------------===//
@@ -360,7 +452,7 @@ private:
     case Stmt::Kind::Assign:
       return transAssign(S);
     case Stmt::Kind::CallStmt:
-      return transCall(*S.CallExpr, /*Target=*/nullptr, S.Loc);
+      return transCall(*S.CallExpr, /*Target=*/nullptr);
     case Stmt::Kind::Return: {
       std::vector<SimplStmtPtr> Out;
       if (S.Value) {
@@ -487,7 +579,7 @@ private:
 
   SimplStmtPtr transAssign(const Stmt &S) {
     if (S.Value->K == Expr::Kind::Call)
-      return transCall(*S.Value, S.Target.get(), S.Loc);
+      return transCall(*S.Value, S.Target.get());
     std::vector<Guard> Gs;
     TermRef V = transExpr(*S.Value, Gs);
     if (!V)
@@ -501,15 +593,9 @@ private:
     return SimplStmt::mkSeqs(std::move(Out));
   }
 
-  SimplStmtPtr transCall(const Expr &CallE, const Expr *Target,
-                         SourceLoc Loc) {
+  SimplStmtPtr transCall(const Expr &CallE, const Expr *Target) {
     const cparser::FuncDecl *Callee = Prog.TU->function(CallE.Name);
-    assert(Callee && "Sema resolved the callee");
-    if (!Callee->Body) {
-      err(Loc, "call to function '" + CallE.Name +
-                   "' which has no body in this translation unit");
-      return fail();
-    }
+    assert(Callee && Callee->Body && "the declaration pass checked calls");
     std::vector<Guard> Gs;
     std::vector<TermRef> Args;
     for (const auto &A : CallE.Args) {
@@ -563,7 +649,6 @@ private:
       LV.K = LValue::Kind::Heap;
       LV.Ptr = P;
       LV.ObjCTy = E.A->Type->pointee();
-      noteHeapType(LV.ObjCTy);
       Gs.emplace_back(GuardKind::PtrValid, ptrOkGuard(P));
       return LV;
     }
@@ -577,7 +662,6 @@ private:
         LV.Ptr = P;
         LV.ObjCTy = E.A->Type->pointee();
         LV.Path.push_back(E.Name);
-        noteHeapType(LV.ObjCTy);
         Gs.emplace_back(GuardKind::PtrValid, ptrOkGuard(P));
         return LV;
       }
@@ -598,12 +682,6 @@ private:
   /// Both alignment and range validity of a typed pointer.
   static TermRef ptrOkGuard(const TermRef &P) {
     return mkConj(mkPtrAligned(P), mkPtrRangeOk(P));
-  }
-
-  void noteHeapType(const CTypeRef &CTy) {
-    TypeRef T = TM.holType(CTy);
-    if (HeapTypeNames.insert(typeStr(T)).second)
-      Prog.HeapTypes.push_back(T);
   }
 
   /// Walks a field path, returning (holRecName, fieldName, fieldTy,
@@ -1045,24 +1123,52 @@ private:
 } // namespace
 
 std::unique_ptr<SimplProgram>
+ac::simpl::translateDeclarations(std::unique_ptr<cparser::TranslationUnit> TU,
+                                 DiagEngine &Diags) {
+  AC_SPAN("simpl.declare");
+  auto Prog = std::make_unique<SimplProgram>();
+  Prog->TU = std::move(TU);
+  if (!Translator(*Prog).declare(Diags))
+    return nullptr;
+  return Prog;
+}
+
+void ac::simpl::translateBody(SimplProgram &Prog, size_t Idx) {
+  Translator(Prog).translateBody(
+      Prog.Functions.at(Prog.FunctionOrder.at(Idx)));
+}
+
+std::unique_ptr<SimplProgram>
 ac::simpl::translateToSimpl(std::unique_ptr<cparser::TranslationUnit> TU,
                             DiagEngine &Diags) {
   AC_SPAN("simpl.translate");
-  auto Prog = std::make_unique<SimplProgram>();
-  Prog->TU = std::move(TU);
-  Translator T(*Prog, Diags);
-  if (!T.run())
+  std::unique_ptr<SimplProgram> Prog =
+      translateDeclarations(std::move(TU), Diags);
+  if (!Prog)
     return nullptr;
+  for (size_t I = 0; I != Prog->FunctionOrder.size(); ++I)
+    translateBody(*Prog, I);
   return Prog;
+}
+
+static std::unique_ptr<cparser::TranslationUnit>
+parseAndCheck(const std::string &Source, DiagEngine &Diags) {
+  auto TU = cparser::parseTranslationUnit(Source, Diags);
+  if (!TU || !cparser::checkTranslationUnit(*TU, Diags))
+    return nullptr;
+  return TU;
 }
 
 std::unique_ptr<SimplProgram>
 ac::simpl::parseAndTranslate(const std::string &Source, DiagEngine &Diags) {
   AC_SPAN("parse");
-  auto TU = cparser::parseTranslationUnit(Source, Diags);
-  if (!TU)
-    return nullptr;
-  if (!cparser::checkTranslationUnit(*TU, Diags))
-    return nullptr;
-  return translateToSimpl(std::move(TU), Diags);
+  auto TU = parseAndCheck(Source, Diags);
+  return TU ? translateToSimpl(std::move(TU), Diags) : nullptr;
+}
+
+std::unique_ptr<SimplProgram>
+ac::simpl::parseAndDeclare(const std::string &Source, DiagEngine &Diags) {
+  AC_SPAN("parse");
+  auto TU = parseAndCheck(Source, Diags);
+  return TU ? translateDeclarations(std::move(TU), Diags) : nullptr;
 }

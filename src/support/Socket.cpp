@@ -174,7 +174,15 @@ Socket Socket::accept() const {
   do {
     Conn = ::accept(Fd, nullptr, nullptr);
   } while (Conn < 0 && errno == EINTR);
-  return Conn < 0 ? Socket() : Socket(Conn);
+  if (Conn < 0)
+    return Socket();
+  // Replies are small and latency-bound, as in connectTcp: without
+  // TCP_NODELAY every reply on an accepted TCP connection waits out the
+  // peer's delayed ACK (~40 ms). On a Unix socket the call fails
+  // harmlessly.
+  int One = 1;
+  ::setsockopt(Conn, IPPROTO_TCP, TCP_NODELAY, &One, sizeof(One));
+  return Socket(Conn);
 }
 
 bool Socket::peerClosed() const {

@@ -62,6 +62,7 @@ public:
   uint16_t boundPort() const;
 
   /// accept(2) on a listening socket; invalid socket on failure/EAGAIN.
+  /// An accepted TCP connection gets TCP_NODELAY, like connectTcp's.
   Socket accept() const;
 
   /// True if the peer has closed its end (half-close or full close),

@@ -24,6 +24,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -61,16 +62,20 @@ struct Snapshot {
   std::vector<std::string> Rendered;
   std::vector<std::string> FinalKeys;
   std::vector<std::string> Pipelines;
+  /// Per-phase specs, one string per function.
+  std::vector<std::string> Specs;
   std::vector<std::string> Diags;
   core::ACStats Stats;
 };
 
 Snapshot runWith(const std::string &Src, const std::string &CacheDir,
-                 unsigned Jobs = 1) {
+                 unsigned Jobs = 1,
+                 const std::set<std::string> &NoHeapAbs = {}) {
   DiagEngine Diags;
   core::ACOptions Opts;
   Opts.Jobs = Jobs;
   Opts.CacheDir = CacheDir;
+  Opts.NoHeapAbs = NoHeapAbs;
   auto AC = core::AutoCorres::run(Src, Diags, Opts);
   EXPECT_TRUE(AC) << Diags.str();
   Snapshot S;
@@ -86,6 +91,8 @@ Snapshot runWith(const std::string &Src, const std::string &CacheDir,
     S.Rendered.push_back(AC->render(Name));
     S.FinalKeys.push_back(F->finalKey());
     S.Pipelines.push_back(F->pipelineProp());
+    S.Specs.push_back(F->l1Spec() + "\n" + F->l2Spec() + "\n" +
+                      F->hlSpec() + "\n" + F->waSpec());
   }
   for (const Diagnostic &D : Diags.diagnostics())
     S.Diags.push_back(D.str());
@@ -104,11 +111,17 @@ void expectIdentical(const Snapshot &A, const Snapshot &B,
         << What << ": rendered spec diverged for " << A.Names[I];
     EXPECT_EQ(A.Pipelines[I], B.Pipelines[I])
         << What << ": pipeline proposition diverged for " << A.Names[I];
+    EXPECT_EQ(A.Specs[I], B.Specs[I])
+        << What << ": per-phase specs diverged for " << A.Names[I];
   }
   EXPECT_EQ(A.Diags, B.Diags) << What << ": diagnostic stream diverged";
-  // Table 5 output columns must not depend on cache warmth either.
+  // Table 5 output columns must not depend on cache warmth either: a hit
+  // replays its Simpl body's statistics instead of translating it.
   EXPECT_EQ(A.Stats.ACSpecLines, B.Stats.ACSpecLines) << What;
   EXPECT_EQ(A.Stats.ACTermSizeTotal, B.Stats.ACTermSizeTotal) << What;
+  EXPECT_EQ(A.Stats.ParserSpecLines, B.Stats.ParserSpecLines) << What;
+  EXPECT_EQ(A.Stats.ParserTermSizeTotal, B.Stats.ParserTermSizeTotal)
+      << What;
 }
 
 /// Fresh empty directory under the test temp root.
@@ -367,4 +380,144 @@ TEST_F(CacheTest, TwoWriterStressLosesNoEntries) {
       EXPECT_TRUE(Final.knowsFunction("fn_" + std::to_string(Id) + "_" +
                                       std::to_string(R)))
           << "lost entry of writer " << Id << " round " << R;
+}
+
+//===----------------------------------------------------------------------===//
+// Declaration-level edits. Keys come from token digests plus a salt over
+// everything program-wide (structs, globals, prototypes, heap types), so
+// each edit below must miss exactly where its effect can reach — and a
+// layout-only edit nowhere.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Six functions over a struct and a global:
+///
+///   top --> mid --> leaf        get (reads node)   tick (bumps counter)
+///     \------------^            lone
+struct DeclUnit {
+  std::string StructDef = "struct node { unsigned int val; "
+                          "struct node *next; };\n";
+  std::string Global = "unsigned int counter;\n";
+  std::string LeafSig = "unsigned int leaf(unsigned int x)";
+  std::string LeafBody = "{ return x + 1u; }";
+  std::string LoneBody = "{ if (a < b) { return a; } return b; }";
+  std::string BeforeMid;
+
+  std::string str() const {
+    return StructDef + Global + LeafSig + " " + LeafBody + "\n" + BeforeMid +
+           "unsigned int mid(unsigned int x) { return leaf(x) * 2u; }\n"
+           "unsigned int top(unsigned int x) { return mid(x) + leaf(x); }\n"
+           "unsigned int get(struct node *n) { return n->val; }\n"
+           "void tick(void) { counter = counter + 1u; }\n"
+           "unsigned int lone(unsigned int a, unsigned int b) " +
+           LoneBody + "\n";
+  }
+};
+
+/// A source and the options it is checked under.
+struct Input {
+  std::string Src;
+  std::set<std::string> NoHeapAbs;
+};
+
+} // namespace
+
+class DeclEditTest : public CacheTest {
+protected:
+  /// Primes a fresh cache with \p Before, then checks \p After against
+  /// it at Jobs 1 and 4: byte-identical to an uncached run, with exactly
+  /// \p Misses misses and every other function a hit.
+  void expectEdit(const Input &Before, const Input &After, unsigned Misses,
+                  const std::string &What) {
+    Snapshot Ref = runWith(After.Src, /*CacheDir=*/"", 1, After.NoHeapAbs);
+    const unsigned N = static_cast<unsigned>(Ref.Names.size());
+    ASSERT_GT(N, 0u) << What;
+    for (unsigned Jobs : {1u, 4u}) {
+      const std::string Sub = Dir + "/j" + std::to_string(Jobs);
+      std::filesystem::remove_all(Sub);
+      Snapshot Cold = runWith(Before.Src, Sub, Jobs, Before.NoHeapAbs);
+      ASSERT_EQ(Cold.Stats.CacheMisses, N) << What;
+      Snapshot Warm = runWith(After.Src, Sub, Jobs, After.NoHeapAbs);
+      const std::string At = What + " (Jobs=" + std::to_string(Jobs) + ")";
+      EXPECT_EQ(Warm.Stats.CacheMisses, Misses) << At;
+      EXPECT_EQ(Warm.Stats.CacheHits, N - Misses) << At;
+      expectIdentical(Ref, Warm, "uncached vs warm after " + At);
+    }
+  }
+};
+
+TEST_F(DeclEditTest, StructFieldTypeChangeMissesEverything) {
+  DeclUnit U;
+  Input Before{U.str(), {}};
+  U.StructDef = "struct node { unsigned short val; struct node *next; };\n";
+  expectEdit(Before, {U.str(), {}}, 6, "struct field type change");
+}
+
+TEST_F(DeclEditTest, GlobalTypeChangeMissesEverything) {
+  DeclUnit U;
+  Input Before{U.str(), {}};
+  U.Global = "unsigned short counter;\n";
+  expectEdit(Before, {U.str(), {}}, 6, "global type change");
+}
+
+TEST_F(DeclEditTest, NewHeapTypeMissesEverything) {
+  // lone gains a dereference of an unsigned short pointer: a new heap
+  // type reshapes lifted_globals, which every heap-lifted body reads.
+  DeclUnit U;
+  Input Before{U.str(), {}};
+  U.LoneBody = "{ unsigned short *q; q = (unsigned short *)b; "
+               "if (a < b) { return a; } return *q; }";
+  expectEdit(Before, {U.str(), {}}, 6, "new heap type");
+}
+
+TEST_F(DeclEditTest, CalleeSignatureChangeMissesItsCallers) {
+  DeclUnit U;
+  Input Before{U.str(), {}};
+  U.LeafSig = "unsigned int leaf(unsigned short x)";
+  expectEdit(Before, {U.str(), {}}, 3, "callee signature change");
+}
+
+TEST_F(DeclEditTest, IntroducedRecursionMissesTheCycle) {
+  // leaf now calls top: leaf, mid and top form one SCC. Only leaf's
+  // tokens changed, but all three become recursive.
+  DeclUnit U;
+  Input Before{U.str(), {}};
+  U.LeafBody = "{ unsigned int r; if (x < 2u) { return x + 1u; } "
+               "r = top(x - 2u); return r; }";
+  expectEdit(Before, {U.str(), {}}, 3, "introduced recursion");
+}
+
+TEST_F(DeclEditTest, NoHeapAbsToggleMissesItsCallers) {
+  DeclUnit U;
+  Input Before{U.str(), {}};
+  expectEdit(Before, {U.str(), {"leaf"}}, 3, "NoHeapAbs on leaf");
+  expectEdit(Before, {U.str(), {"get"}}, 1, "NoHeapAbs on get");
+}
+
+TEST_F(DeclEditTest, WhitespaceAndCommentEditsHitEverything) {
+  // Every function after the insertion moves to new source locations; a
+  // replayed artefact carrying one would show up as a byte difference.
+  DeclUnit U;
+  Input Before{U.str(), {}};
+  U.BeforeMid = "\n/* a comment\n   over two lines */\n\n// and one more\n";
+  U.StructDef = "  \n" + U.StructDef;
+  U.LeafBody = "{\n    return x   +   1u;\n}";
+  expectEdit(Before, {U.str(), {}}, 0, "whitespace and comment edit");
+}
+
+TEST_F(DeclEditTest, HoistedCallInAnEarlierFunctionRenamesLaterTemporaries) {
+  // Sema numbers hoisted-call temporaries across the whole unit, and the
+  // L1 spec names them: f's new hoisted call renames h's call_tmp__0 to
+  // call_tmp__1 although neither h nor its callee g changed. g hoists
+  // nothing, so it stays a hit.
+  const std::string G = "unsigned int g(unsigned int x) { return x * 2u; }\n";
+  const std::string H =
+      "unsigned int h(unsigned int x) { return g(x) + 1u; }\n";
+  expectEdit({G + "unsigned int f(unsigned int x) { return x + 1u; }\n" + H,
+              {}},
+             {G + "unsigned int f(unsigned int x) { return g(x) + 1u; }\n" +
+                  H,
+              {}},
+             2, "hoisted call added before h");
 }

@@ -24,6 +24,7 @@
 #include "../common/TestUtil.h"
 
 #include "core/AutoCorres.h"
+#include "corpus/Synthetic.h"
 #include "heapabs/LiftedGlobals.h"
 #include "wordabs/WordAbs.h"
 
@@ -33,6 +34,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -458,6 +460,15 @@ void reportFailures(const Tally &T) {
 
 } // namespace
 
+// Two disjoint seed banks: the original 220-program bank, and a second
+// bank added when the kernel representation moved to hash-consing —
+// fresh programs the interning, rule-index and memo fast paths have never
+// seen, summing to a 500-program sweep.
+constexpr unsigned BankAPrograms = 220;
+constexpr uint64_t BankABase = 0xd1ff0001;
+constexpr unsigned BankBPrograms = 280;
+constexpr uint64_t BankBBase = 0xd1ffba5e;
+
 TEST(Differential, RandomProgramSweep) {
   // AC_DIFF_SEED replays a single failing seed with its source dumped.
   if (const char *E = std::getenv("AC_DIFF_SEED")) {
@@ -469,14 +480,6 @@ TEST(Differential, RandomProgramSweep) {
     return;
   }
 
-  // Two disjoint seed banks: the original 220-program bank, and a second
-  // bank added when the kernel representation moved to hash-consing —
-  // fresh programs the interning, rule-index and memo fast paths have
-  // never seen, summing to a 500-program sweep.
-  constexpr unsigned BankAPrograms = 220;
-  constexpr uint64_t BankABase = 0xd1ff0001;
-  constexpr unsigned BankBPrograms = 280;
-  constexpr uint64_t BankBBase = 0xd1ffba5e;
   Tally T;
   for (unsigned P = 0; P != BankAPrograms; ++P)
     checkProgram(BankABase + P, /*TrialsPerFn=*/4, T);
@@ -603,4 +606,119 @@ TEST(Differential, CertificateNonPerturbation) {
     EXPECT_EQ(R.ClaimCount, Claims);
   }
   fs::remove_all(Scratch, EC);
+}
+
+//===----------------------------------------------------------------------===//
+// Declaration-pass invariants. The abstraction cache keys a function from
+// what the declaration pass computed, and a warm run translates only the
+// bodies that miss, so the declaration pass must leave no body anything
+// program-wide to add, and its AST call graph must be the one the bodies
+// express.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+std::string typeName(const TypeRef &T) { return T ? typeStr(T) : "<void>"; }
+
+std::string varsStr(const std::vector<std::pair<std::string, TypeRef>> &Vs) {
+  std::string S;
+  for (const auto &[Name, Ty] : Vs)
+    S += Name + ":" + typeName(Ty) + ";";
+  return S;
+}
+
+/// Every function a Simpl body calls, deduplicated, in first-call order.
+void simplCallees(const simpl::SimplStmtPtr &S,
+                  std::vector<std::string> &Out) {
+  if (!S)
+    return;
+  if (S->kind() == simpl::SimplStmt::Kind::Call &&
+      std::find(Out.begin(), Out.end(), S->Callee) == Out.end())
+    Out.push_back(S->Callee);
+  simplCallees(S->A, Out);
+  simplCallees(S->B, Out);
+}
+
+void checkDeclarationPass(const std::string &Src, const std::string &What) {
+  DiagEngine D1, D2;
+  auto Decl = simpl::parseAndDeclare(Src, D1);
+  auto Full = simpl::parseAndTranslate(Src, D2);
+  ASSERT_TRUE(Decl && Full) << What << "\n" << D1.str() << D2.str();
+
+  // The program-wide state a body reads.
+  ASSERT_EQ(Decl->Records.all().size(), Full->Records.all().size()) << What;
+  for (const auto &[Name, RI] : Full->Records.all()) {
+    const RecordInfo *DI = Decl->Records.lookup(Name);
+    ASSERT_TRUE(DI) << What << ": record " << Name
+                    << " appears only with the bodies";
+    EXPECT_EQ(varsStr(DI->Fields), varsStr(RI.Fields))
+        << What << ": record " << Name;
+  }
+  ASSERT_EQ(Decl->HeapTypes.size(), Full->HeapTypes.size()) << What;
+  for (size_t I = 0; I != Full->HeapTypes.size(); ++I)
+    EXPECT_EQ(typeName(Decl->HeapTypes[I]), typeName(Full->HeapTypes[I]))
+        << What << ": heap type " << I;
+  EXPECT_EQ(typeName(Decl->GlobalsTy), typeName(Full->GlobalsTy)) << What;
+  ASSERT_EQ(Decl->FunctionOrder, Full->FunctionOrder) << What;
+
+  for (size_t I = 0; I != Full->FunctionOrder.size(); ++I) {
+    const std::string &Name = Full->FunctionOrder[I];
+    const simpl::SimplFunc &DF = *Decl->function(Name);
+    const simpl::SimplFunc &FF = *Full->function(Name);
+    const std::string At = What + ": " + Name;
+    EXPECT_EQ(varsStr(DF.Params), varsStr(FF.Params)) << At;
+    EXPECT_EQ(typeName(DF.RetTy), typeName(FF.RetTy)) << At;
+    EXPECT_EQ(varsStr(DF.Locals), varsStr(FF.Locals)) << At;
+    EXPECT_EQ(typeName(DF.StateTy), typeName(FF.StateTy)) << At;
+    EXPECT_EQ(DF.IsRecursive, FF.IsRecursive) << At;
+    EXPECT_FALSE(DF.Body) << At << ": the declaration pass made a body";
+
+    // The AST call graph against the translated body's Call statements.
+    std::vector<std::string> FromBody, FromGraph;
+    simplCallees(FF.Body, FromBody);
+    for (unsigned C : Decl->Calls.Callees[I])
+      FromGraph.push_back(Decl->FunctionOrder[C]);
+    EXPECT_EQ(FromGraph, FromBody) << At;
+  }
+}
+
+} // namespace
+
+TEST(Differential, DeclarationPassInvariants) {
+  unsigned Recursive = 0, Calls = 0, HeapTyped = 0;
+  auto Check = [&](const std::string &Src, const std::string &What) {
+    checkDeclarationPass(Src, What);
+    DiagEngine Diags;
+    auto Prog = simpl::parseAndDeclare(Src, Diags);
+    ASSERT_TRUE(Prog) << What;
+    HeapTyped += !Prog->HeapTypes.empty();
+    for (unsigned I = 0; I != Prog->FunctionOrder.size(); ++I) {
+      Recursive += Prog->Calls.isRecursive(I);
+      Calls += static_cast<unsigned>(Prog->Calls.Callees[I].size());
+    }
+  };
+  for (unsigned P = 0; P != BankAPrograms; ++P)
+    Check(DiffGen(BankABase + P).run(),
+          "bank A program " + std::to_string(P));
+  for (unsigned P = 0; P != BankBPrograms; ++P)
+    Check(DiffGen(BankBBase + P).run(),
+          "bank B program " + std::to_string(P));
+  for (const corpus::SyntheticSpec &Spec :
+       {corpus::sel4Scale(), corpus::capdlScale(), corpus::piccoloScale(),
+        corpus::echronosScale()})
+    Check(corpus::generateSyntheticProgram(Spec), Spec.Name + " preset");
+  // Neither source recurses; a cycle through three functions, one of
+  // them calling itself, covers IsRecursive.
+  Check("unsigned int even(unsigned int n) { unsigned int r; "
+        "if (n == 0u) { return 1u; } r = odd(n - 1u); return r; }\n"
+        "unsigned int odd(unsigned int n) { unsigned int r; "
+        "if (n == 0u) { return 0u; } r = even(n - 1u); return r; }\n"
+        "unsigned int spin(unsigned int n) { unsigned int r; "
+        "if (n < 2u) { return even(n); } r = spin(n - 2u); return r; }\n"
+        "unsigned int top(unsigned int n) { return spin(n) + odd(n); }\n",
+        "recursive unit");
+  // Not vacuous: the inputs call, recurse and touch the heap.
+  EXPECT_GT(Calls, 300u);
+  EXPECT_GT(HeapTyped, 300u);
+  EXPECT_EQ(Recursive, 3u);
 }

@@ -166,3 +166,48 @@ TEST(Parser, Recursion) {
           "  return n * fact(n - 1);\n"
           "}\n");
 }
+
+TEST(Parser, TokenDigestsIgnoreLayoutOnly) {
+  const std::string Base = "struct p { int x; };\n"
+                           "int g;\n"
+                           "int f(int a) { return a + 1; }\n"
+                           "int h(int b);\n"
+                           "int k(int c) { return c; }\n";
+  auto TU = parseOk(Base);
+  ASSERT_TRUE(TU);
+  // Struct, global and prototype; the two definitions keep their own.
+  EXPECT_EQ(TU->DeclDigests.size(), 3u);
+  const uint64_t F = TU->function("f")->TokenDigest;
+  const uint64_t K = TU->function("k")->TokenDigest;
+  EXPECT_NE(F, 0u);
+  EXPECT_NE(F, K);
+
+  auto Moved = parseOk("/* header */\nstruct p {\n  int x;\n};\n"
+                       "int g; // counter\n\n"
+                       "int f(int a)\n{\n  return a   +   1;\n}\n"
+                       "int h(int b);\nint k(int c) { return c; }\n");
+  ASSERT_TRUE(Moved);
+  EXPECT_EQ(Moved->DeclDigests, TU->DeclDigests);
+  EXPECT_EQ(Moved->function("f")->TokenDigest, F);
+  EXPECT_EQ(Moved->function("k")->TokenDigest, K);
+
+  // One literal changes exactly that definition's digest.
+  auto Edited = parseOk("struct p { int x; };\nint g;\n"
+                        "int f(int a) { return a + 2; }\n"
+                        "int h(int b);\nint k(int c) { return c; }\n");
+  ASSERT_TRUE(Edited);
+  EXPECT_EQ(Edited->DeclDigests, TU->DeclDigests);
+  EXPECT_NE(Edited->function("f")->TokenDigest, F);
+  EXPECT_EQ(Edited->function("k")->TokenDigest, K);
+}
+
+TEST(Sema, HoistBaseNumbersTemporariesAcrossTheUnit) {
+  auto TU = parseOk("int a(int x) { return x; }\n"
+                    "int b(int x) { return a(x) + a(x); }\n"
+                    "int c(int x) { return x; }\n"
+                    "int d(int x) { return a(x) + 1; }\n");
+  ASSERT_TRUE(TU);
+  EXPECT_EQ(TU->function("b")->HoistBase, 0u); // call_tmp__0, __1
+  EXPECT_EQ(TU->function("c")->HoistBase, 0u); // hoists nothing
+  EXPECT_EQ(TU->function("d")->HoistBase, 2u); // call_tmp__2
+}

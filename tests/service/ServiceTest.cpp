@@ -31,6 +31,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -1053,6 +1054,50 @@ TEST_F(ServiceTest, PerRequestTraceFilesAreValidChromeJson) {
       SawFn = true;
   EXPECT_TRUE(SawFn) << "per-request trace carries no pipeline spans";
   Srv.stop();
+}
+
+TEST_F(ServiceTest, FirstTracedRequestOfAFreshServerHasItsRootSpan) {
+  // A fresh acd: nothing in this process collects spans before start().
+  // The first request's file must still be rooted at acd.request, with
+  // the queue wait and the pipeline run as its children.
+  support::Trace::stop();
+  support::Trace::reset();
+  ServerOptions O = baseOpts();
+  O.TraceDir = Root + "/traces";
+  Server Srv(O);
+  ASSERT_TRUE(Srv.start());
+  Client C = Client::connect(SockPath);
+  ASSERT_TRUE(C.connected());
+  CheckRequest Req;
+  Req.Source = corpus::maxSource();
+  Req.TraceId = "first-request";
+  CheckResponse Resp;
+  std::string Err;
+  ASSERT_TRUE(C.check(Req, Resp, Err)) << Err;
+  ASSERT_TRUE(Resp.Ok);
+  ASSERT_TRUE(waitForFile(O.TraceDir + "/first-request.json"));
+  Srv.stop();
+  support::Trace::stop();
+  support::Trace::reset();
+
+  std::ifstream In(O.TraceDir + "/first-request.json");
+  std::stringstream SS;
+  SS << In.rdbuf();
+  Json J;
+  ASSERT_TRUE(Json::parse(SS.str(), J, Err)) << Err;
+  std::string RootSpan;
+  std::map<std::string, std::string> ParentOf; // span name -> parent id
+  for (const Json &E : J.get("traceEvents").items()) {
+    const std::string Name = E.get("name").asString();
+    const Json &Args = E.get("args");
+    if (Name == "acd.request")
+      RootSpan = Args.get("span").asString();
+    if (Name == "acd.queue_wait" || Name == "ac.run")
+      ParentOf[Name] = Args.get("parent").asString();
+  }
+  ASSERT_FALSE(RootSpan.empty()) << "no acd.request span: " << SS.str();
+  EXPECT_EQ(ParentOf["acd.queue_wait"], RootSpan);
+  EXPECT_EQ(ParentOf["ac.run"], RootSpan);
 }
 
 TEST_F(ServiceTest, MetricsRequestServesPrometheusText) {

@@ -182,3 +182,50 @@ TEST(Translate, MetricsAreComputable) {
   EXPECT_GT(F->Body->termSize(), 20u);
   EXPECT_GT(simplSpecLines(*F), 10u);
 }
+
+TEST(Translate, DeclarationPassReportsBodyErrors) {
+  // The body pass cannot fail: the declaration pass rejects a call to a
+  // function without a body here, and a second definition of a name.
+  DiagEngine Diags;
+  EXPECT_FALSE(parseAndDeclare("unsigned ext(unsigned x);\n"
+                               "unsigned f(unsigned x) {\n"
+                               "  unsigned r;\n"
+                               "  r = ext(x);\n"
+                               "  return r;\n"
+                               "}\n",
+                               Diags));
+  EXPECT_NE(Diags.str().find("call to function 'ext' which has no body"),
+            std::string::npos)
+      << Diags.str();
+
+  DiagEngine Diags2;
+  EXPECT_FALSE(parseAndDeclare("unsigned f(unsigned x) { return x; }\n"
+                               "unsigned f(unsigned x) { return x + 1; }\n",
+                               Diags2));
+  EXPECT_NE(Diags2.str().find("redefinition of function 'f'"),
+            std::string::npos)
+      << Diags2.str();
+}
+
+TEST(Translate, BodiesTranslateInAnyOrder) {
+  // A body reads only the declaration pass's state, so translating one
+  // body alone, or the bodies backwards, gives what translating them all
+  // in order gives.
+  const char *Src = "struct node { struct node *next; unsigned v; };\n"
+                    "unsigned get(struct node *n) { return n->v; }\n"
+                    "unsigned sum(struct node *n) {\n"
+                    "  unsigned s; s = 0;\n"
+                    "  while (n != NULL) { s = s + get(n); n = n->next; }\n"
+                    "  return s;\n"
+                    "}\n";
+  auto All = translate(Src);
+  DiagEngine Diags;
+  auto Backwards = parseAndDeclare(Src, Diags);
+  ASSERT_TRUE(Backwards) << Diags.str();
+  for (size_t I = Backwards->FunctionOrder.size(); I-- > 0;)
+    translateBody(*Backwards, I);
+  for (const std::string &Name : All->FunctionOrder)
+    EXPECT_EQ(printSimplFunc(*Backwards->function(Name)),
+              printSimplFunc(*All->function(Name)))
+        << Name;
+}

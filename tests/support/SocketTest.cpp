@@ -27,6 +27,8 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <string>
 #include <sys/socket.h>
 #include <thread>
@@ -146,6 +148,19 @@ TEST_F(SocketTcp, OversizedSendIsRefusedLocally) {
   std::string Got;
   ASSERT_TRUE(P.Server.recvFrame(Got));
   EXPECT_EQ(Got, "still clean");
+}
+
+TEST_F(SocketTcp, BothEndsDisableNagle) {
+  // Without TCP_NODELAY on the accepted end, a daemon's reply waits for
+  // the client's delayed ACK: ~44 ms per round trip over loopback.
+  TcpPair P;
+  for (const Socket *S : {&P.Client, &P.Server}) {
+    int On = 0;
+    socklen_t Len = sizeof(On);
+    ASSERT_EQ(::getsockopt(S->fd(), IPPROTO_TCP, TCP_NODELAY, &On, &Len), 0);
+    EXPECT_NE(On, 0) << (S == &P.Client ? "connected" : "accepted")
+                     << " end has Nagle's algorithm on";
+  }
 }
 
 TEST_F(SocketTcp, ConnectToClosedPortFails) {
