@@ -832,13 +832,23 @@ for _ in $(seq 100); do
   "$ACC" "${ROUTER[@]}" --ping >/dev/null 2>&1 && break
   sleep 0.1
 done
-# A wrong token must be refused with the typed error before any op.
-if "$ACC" --router "127.0.0.1:$RPORT" --auth-token-file /dev/null \
-    --ping >/dev/null 2>"$FLEET/badauth.err"; then
-  echo "tier-1: FAILED — the router accepted a connection without the" \
-       "shared token." >&2
-  exit 1
-fi
+# A wrong token must be refused with the typed error before any op, on
+# every daemon: the router, a shard and the cache.
+echo "not-the-fleet-secret" >"$FLEET/wrong-token"
+for port in "$RPORT" "$P1" "$CPORT"; do
+  if "$ACC" --router "127.0.0.1:$port" --auth-token-file \
+      "$FLEET/wrong-token" --ping >/dev/null 2>"$FLEET/badauth.err"; then
+    echo "tier-1: FAILED — the daemon on port $port accepted a wrong" \
+         "token." >&2
+    exit 1
+  fi
+  if ! grep -q auth_failed "$FLEET/badauth.err"; then
+    echo "tier-1: FAILED — the daemon on port $port refused a wrong token" \
+         "without a typed auth_failed:" >&2
+    cat "$FLEET/badauth.err" >&2
+    exit 1
+  fi
+done
 
 # 10b. Golden corpora through the router: the fixtures are the
 #      single-daemon reference, so byte-equality is the fleet's

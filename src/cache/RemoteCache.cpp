@@ -11,15 +11,11 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include <sys/socket.h>
-#include <unistd.h>
-
 using namespace ac;
 using namespace ac::cache;
 using support::FaultSite;
 using support::Fingerprint;
 using support::Json;
-using support::Socket;
 
 // Fault sites at every new network/IO edge of the tier. Client-side
 // failures degrade to a miss/drop; the store-side torn write proves the
@@ -75,177 +71,30 @@ size_t RemoteCacheStore::size() const {
 // RemoteCacheServer
 //===----------------------------------------------------------------------===//
 
-struct RemoteCacheServer::Conn {
-  Socket Sock;
-  bool NeedsAuth = false;
+/// The wire-carried parent span of a request forwarded from a traced
+/// shard (0 = none): the store's spans chain under the shard's
+/// remote.get/remote.put span.
+static uint64_t wireParent(const Json &J) {
+  const Json &P = J.get("parent_span");
+  return P.isString() ? std::strtoull(P.asString().c_str(), nullptr, 10) : 0;
+}
 
-  explicit Conn(Socket S) : Sock(std::move(S)) {}
-
-  bool send(const Json &J) { return Sock.sendFrame(J.dump()); }
-};
+static Json badRequest(const std::string &Msg) {
+  return service::CheckResponse::error(service::ErrorCode::BadRequest, Msg)
+      .toJson();
+}
 
 RemoteCacheServer::RemoteCacheServer(RemoteCacheServerOptions O)
-    : Opts(std::move(O)) {}
-
-RemoteCacheServer::~RemoteCacheServer() { stop(); }
-
-bool RemoteCacheServer::start() {
-  if (Opts.SocketPath.empty() && Opts.ListenAddr.empty())
-    return false;
-  if (Opts.TraceLive) {
-    support::Trace::setRole("cache");
-    support::Trace::start();
-  }
-  if (!Opts.SocketPath.empty()) {
-    Listen = Socket::listenUnix(Opts.SocketPath);
-    if (!Listen.valid())
-      return false;
-  }
-  if (!Opts.ListenAddr.empty()) {
-    std::string Host;
-    uint16_t Port = 0;
-    if (!support::parseHostPort(Opts.ListenAddr, Host, Port,
-                                /*AllowPortZero=*/true))
-      return false;
-    ListenTcp = Socket::listenTcp(Host, Port);
-    if (!ListenTcp.valid())
-      return false;
-    TcpPort = ListenTcp.boundPort();
-  }
-  Started = true;
-  if (Listen.valid())
-    Acceptor =
-        std::thread([this] { acceptLoop(Listen, /*RequireAuth=*/false); });
-  if (ListenTcp.valid())
-    TcpAcceptor = std::thread(
-        [this] { acceptLoop(ListenTcp, !Opts.AuthToken.empty()); });
-  return true;
-}
-
-void RemoteCacheServer::stop() {
-  if (!Started)
-    return;
-  Stopping.store(true);
-  {
-    std::lock_guard<std::mutex> L(DrainM);
-    DrainCV.notify_all();
-  }
-  if (Acceptor.joinable())
-    Acceptor.join();
-  if (TcpAcceptor.joinable())
-    TcpAcceptor.join();
-  {
-    std::unique_lock<std::mutex> L(ConnsM);
-    for (const std::shared_ptr<Conn> &C : Conns)
-      ::shutdown(C->Sock.fd(), SHUT_RDWR);
-    ConnsCV.wait(L, [&] { return Conns.empty(); });
-  }
-  Listen.close();
-  ListenTcp.close();
-  if (!Opts.SocketPath.empty())
-    ::unlink(Opts.SocketPath.c_str());
-  Started = false;
-}
-
-void RemoteCacheServer::waitDrainRequested() {
-  std::unique_lock<std::mutex> L(DrainM);
-  DrainCV.wait(L, [&] { return Draining.load() || Stopping.load(); });
-}
-
-void RemoteCacheServer::acceptLoop(Socket &L, bool RequireAuth) {
-  while (!Stopping.load()) {
-    if (!L.waitReadable(100))
-      continue;
-    Socket S = L.accept();
-    if (!S.valid() || Stopping.load())
-      continue;
-    auto C = std::make_shared<Conn>(std::move(S));
-    C->NeedsAuth = RequireAuth;
-    {
-      std::lock_guard<std::mutex> G(ConnsM);
-      Conns.push_back(C);
-    }
-    std::thread([this, C] { connLoop(C); }).detach();
-  }
-}
-
-void RemoteCacheServer::connLoop(std::shared_ptr<Conn> C) {
-  while (!Stopping.load()) {
-    if (!C->Sock.waitReadable(200)) {
-      if (C->Sock.peerClosed())
-        break;
-      continue;
-    }
-    std::string Raw;
-    if (!C->Sock.recvFrame(Raw))
-      break;
-    if (!handleFrame(C, Raw))
-      break;
-  }
-  std::lock_guard<std::mutex> L(ConnsM);
-  for (size_t I = 0; I != Conns.size(); ++I)
-    if (Conns[I] == C) {
-      Conns.erase(Conns.begin() + I);
-      break;
-    }
-  ConnsCV.notify_all();
-}
-
-static Json errorJson(const char *Code, const std::string &Msg) {
-  Json R = Json::object();
-  R.set("ok", false);
-  R.set("error", Code);
-  R.set("message", Msg);
-  return R;
-}
-
-bool RemoteCacheServer::handleFrame(const std::shared_ptr<Conn> &C,
-                                    const std::string &Raw) {
-  Json J;
-  std::string Err;
-  if (!Json::parse(Raw, J, Err)) {
-    C->send(errorJson("bad_request", "malformed JSON: " + Err));
-    return !C->NeedsAuth;
-  }
-  if (J.has("v") && J.get("v").asInt() != service::ProtocolVersion) {
-    C->send(errorJson("bad_request", "unsupported protocol version"));
-    return !C->NeedsAuth;
-  }
-  const std::string &Op = J.get("op").asString();
-  if (Op == "auth") {
-    if (!service::constantTimeEqual(J.get("token").asString(),
-                                    Opts.AuthToken)) {
-      support::Log::warn("auth.failed", {{"daemon", "accached"}});
-      C->send(errorJson("auth_failed", "auth token mismatch"));
-      return false;
-    }
-    C->NeedsAuth = false;
-    Json R = Json::object();
-    R.set("ok", true);
-    R.set("op", "auth");
-    C->send(R);
-    return true;
-  }
-  if (C->NeedsAuth) {
-    support::Log::warn("auth.failed", {{"daemon", "accached"},
-                                       {"reason", "no auth handshake"}});
-    C->send(errorJson("auth_failed", "auth required before `" + Op + "`"));
-    return false;
-  }
-  // Requests forwarded from a traced shard carry the trace context; the
-  // store's spans chain under the shard's remote.get/remote.put span.
-  uint64_t WireParent = 0;
-  if (J.get("parent_span").isString())
-    WireParent =
-        std::strtoull(J.get("parent_span").asString().c_str(), nullptr, 10);
-  support::TraceContextScope TScope(J.get("trace_id").asString(),
-                                    WireParent);
-  if (Op == "get") {
+    : Frames(O, "accached", "cache") {
+  using ConnRef = service::FrameServer::ConnRef;
+  Frames.on("get", [this](const ConnRef &C, const Json &J) {
     uint64_t Key = 0;
     if (!Fingerprint::parseHex(J.get("key").asString(), Key)) {
-      C->send(errorJson("bad_request", "get lacks a 16-hex `key`"));
-      return true;
+      C->send(badRequest("get lacks a 16-hex `key`"));
+      return;
     }
+    support::TraceContextScope TScope(J.get("trace_id").asString(),
+                                      wireParent(J));
     support::Span S("accached.get");
     S.arg("key", Fingerprint::hex(Key));
     Json R = Json::object();
@@ -261,13 +110,16 @@ bool RemoteCacheServer::handleFrame(const std::shared_ptr<Conn> &C,
     }
     S.end();
     C->send(R);
-  } else if (Op == "put") {
+  });
+  Frames.on("put", [this](const ConnRef &C, const Json &J) {
     uint64_t Key = 0;
     if (!Fingerprint::parseHex(J.get("key").asString(), Key) ||
         !J.get("entry").isString()) {
-      C->send(errorJson("bad_request", "put wants `key` and `entry`"));
-      return true;
+      C->send(badRequest("put wants `key` and `entry`"));
+      return;
     }
+    support::TraceContextScope TScope(J.get("trace_id").asString(),
+                                      wireParent(J));
     support::Span S("accached.put");
     S.arg("key", Fingerprint::hex(Key));
     bool Stored = Store.put(Key, J.get("entry").asString());
@@ -276,21 +128,18 @@ bool RemoteCacheServer::handleFrame(const std::shared_ptr<Conn> &C,
     R.set("ok", true);
     R.set("stored", Stored);
     C->send(R);
-  } else if (Op == "ping") {
-    Json R = Json::object();
-    R.set("ok", true);
-    R.set("op", "pong");
-    C->send(R);
-  } else if (Op == "stats") {
+  });
+  Frames.on("stats", [this](const ConnRef &C, const Json &) {
     Json R = Json::object();
     R.set("ok", true);
     R.set("entries", static_cast<uint64_t>(Store.size()));
     R.set("gets", Store.gets());
     R.set("hits", Store.hits());
     R.set("puts", Store.puts());
-    R.set("draining", Draining.load());
+    R.set("draining", Frames.draining());
     C->send(R);
-  } else if (Op == "metrics") {
+  });
+  Frames.on("metrics", [this](const ConnRef &C, const Json &) {
     // The store's Prometheus block, role-labelled so a federated scrape
     // can tell the cache tier's samples from the shards'.
     std::string Body;
@@ -316,28 +165,7 @@ bool RemoteCacheServer::handleFrame(const std::shared_ptr<Conn> &C,
     R.set("content_type", "text/plain; version=0.0.4");
     R.set("body", Body);
     C->send(R);
-  } else if (Op == "trace_pull") {
-    Json R = Json::object();
-    R.set("ok", true);
-    R.set("op", "trace_pull");
-    R.set("pid", static_cast<uint64_t>(getpid()));
-    R.set("role", support::Trace::role());
-    R.set("body", support::Trace::exportJson(/*Reset=*/true));
-    C->send(R);
-  } else if (Op == "drain") {
-    {
-      std::lock_guard<std::mutex> L(DrainM);
-      Draining.store(true);
-      DrainCV.notify_all();
-    }
-    Json R = Json::object();
-    R.set("ok", true);
-    R.set("draining", true);
-    C->send(R);
-  } else {
-    C->send(errorJson("bad_request", "unknown op `" + Op + "`"));
-  }
-  return true;
+  });
 }
 
 //===----------------------------------------------------------------------===//
@@ -348,48 +176,17 @@ RemoteCacheClient::RemoteCacheClient(std::string A, std::string T)
     : Addr(std::move(A)), Token(std::move(T)) {}
 
 bool RemoteCacheClient::ensureConnected() {
-  if (Sock.valid())
+  if (Conn.connected())
     return true;
   if (FaultDial.fire())
     return false; // tier unreachable: every get is a miss, puts drop
-  std::string Host;
+  std::string Host, Err;
   uint16_t Port = 0;
   if (support::parseHostPort(Addr, Host, Port))
-    Sock = Socket::connectTcp(Host, Port);
-  else
-    Sock = Socket::connectUnix(Addr);
-  if (!Sock.valid())
-    return false;
-  if (Token.empty())
-    return true;
-  Json Req = Json::object();
-  Req.set("v", service::ProtocolVersion);
-  Req.set("op", "auth");
-  Req.set("token", Token);
-  Json Resp;
-  if (!roundTrip(Req, Resp) || !Resp.get("ok").asBool()) {
-    Sock.close();
-    return false;
-  }
-  return true;
-}
-
-bool RemoteCacheClient::roundTrip(const Json &Req, Json &Resp) {
-  if (!Sock.sendFrame(Req.dump())) {
-    Sock.close();
-    return false;
-  }
-  std::string Raw;
-  if (!Sock.recvFrame(Raw)) {
-    Sock.close();
-    return false;
-  }
-  std::string Err;
-  if (!Json::parse(Raw, Resp, Err)) {
-    Sock.close();
-    return false;
-  }
-  return true;
+    Conn = service::Client::connectTcp(Addr, Token, Err);
+  else if ((Conn = service::Client::connect(Addr)).connected())
+    Conn.authenticate(Token, Err);
+  return Conn.connected();
 }
 
 bool RemoteCacheClient::get(uint64_t Key, core::CachedFunc &Out) {
@@ -398,7 +195,7 @@ bool RemoteCacheClient::get(uint64_t Key, core::CachedFunc &Out) {
     return false;
   if (FaultGet.fire()) {
     // The connection died mid-exchange; next call re-dials.
-    Sock.close();
+    Conn = service::Client();
     return false;
   }
   // The round-trip span; its id rides along as parent_span so the
@@ -416,8 +213,11 @@ bool RemoteCacheClient::get(uint64_t Key, core::CachedFunc &Out) {
     Req.set("parent_span", std::to_string(S.id()));
   }
   Json Resp;
-  if (!roundTrip(Req, Resp))
+  std::string Err;
+  if (!Conn.roundTrip(Req, Resp, Err)) {
+    Conn = service::Client(); // torn: the next call re-dials
     return false;
+  }
   if (!Resp.get("ok").asBool() || !Resp.get("found").asBool())
     return false;
   // The CRC inside the blob guards the whole store+transit path: a torn
@@ -437,7 +237,7 @@ void RemoteCacheClient::put(const core::CachedFunc &E) {
   if (!ensureConnected())
     return;
   if (FaultPut.fire()) {
-    Sock.close();
+    Conn = service::Client();
     return;
   }
   support::Span S("remote.put");
@@ -453,47 +253,9 @@ void RemoteCacheClient::put(const core::CachedFunc &E) {
       Req.set("trace_id", TC.TraceId);
     Req.set("parent_span", std::to_string(S.id()));
   }
+  // Best-effort: a dropped put is recomputed; a torn one re-dials next.
   Json Resp;
-  (void)roundTrip(Req, Resp); // best-effort: a dropped put is recomputed
-}
-
-bool RemoteCacheClient::ping() {
-  std::lock_guard<std::mutex> L(M);
-  if (!ensureConnected())
-    return false;
-  Json Req = Json::object();
-  Req.set("v", service::ProtocolVersion);
-  Req.set("op", "ping");
-  Json Resp;
-  return roundTrip(Req, Resp) && Resp.get("ok").asBool();
-}
-
-bool RemoteCacheClient::stats(Json &Out) {
-  std::lock_guard<std::mutex> L(M);
-  if (!ensureConnected())
-    return false;
-  Json Req = Json::object();
-  Req.set("v", service::ProtocolVersion);
-  Req.set("op", "stats");
-  return roundTrip(Req, Out) && Out.get("ok").asBool();
-}
-
-bool RemoteCacheClient::metrics(Json &Out) {
-  std::lock_guard<std::mutex> L(M);
-  if (!ensureConnected())
-    return false;
-  Json Req = Json::object();
-  Req.set("v", service::ProtocolVersion);
-  Req.set("op", "metrics");
-  return roundTrip(Req, Out) && Out.get("ok").asBool();
-}
-
-bool RemoteCacheClient::tracePull(Json &Out) {
-  std::lock_guard<std::mutex> L(M);
-  if (!ensureConnected())
-    return false;
-  Json Req = Json::object();
-  Req.set("v", service::ProtocolVersion);
-  Req.set("op", "trace_pull");
-  return roundTrip(Req, Out) && Out.get("ok").asBool();
+  std::string Err;
+  if (!Conn.roundTrip(Req, Resp, Err))
+    Conn = service::Client();
 }

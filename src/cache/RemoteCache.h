@@ -30,18 +30,15 @@
 #define AC_CACHE_REMOTECACHE_H
 
 #include "core/ResultCache.h"
+#include "service/Client.h"
+#include "service/FrameServer.h"
 #include "support/Json.h"
-#include "support/Socket.h"
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
-#include <vector>
 
 namespace ac::cache {
 
@@ -69,19 +66,11 @@ private:
   mutable std::mutex M;
 };
 
-/// accached daemon configuration.
-struct RemoteCacheServerOptions {
-  /// Unix listening socket ("" = none).
-  std::string SocketPath;
-  /// TCP listen address "host:port" ("" = none); port 0 = ephemeral.
-  std::string ListenAddr;
-  /// Shared auth token for TCP connections ("" = open).
-  std::string AuthToken;
-  /// Live fleet tracing: record get/put spans (role "cache") for the
-  /// `trace_pull` op, chaining under the wire-carried trace context a
-  /// shard's RemoteCacheClient sends with each round-trip.
-  bool TraceLive = false;
-};
+/// accached daemon configuration: the listener options alone. With
+/// TraceLive the store records get/put spans (role "cache"), chained
+/// under the trace context a shard's RemoteCacheClient sends with each
+/// round-trip.
+struct RemoteCacheServerOptions : service::ListenOptions {};
 
 /// The daemon: every op (get/put/ping/stats/drain) is answered inline by
 /// the connection's reader thread — there is no work queue, the store is
@@ -89,48 +78,17 @@ struct RemoteCacheServerOptions {
 class RemoteCacheServer {
 public:
   explicit RemoteCacheServer(RemoteCacheServerOptions Opts);
-  ~RemoteCacheServer();
 
-  RemoteCacheServer(const RemoteCacheServer &) = delete;
-  RemoteCacheServer &operator=(const RemoteCacheServer &) = delete;
+  bool start() { return Frames.start(); }
+  void stop() { Frames.stop(); }
 
-  bool start();
-  void stop();
-
-  /// Blocks until a `drain` op arrives (or stop()). Lets the accached
-  /// main thread park until asked to exit.
-  void waitDrainRequested();
-
-  bool draining() const { return Draining.load(); }
-  uint16_t tcpPort() const { return TcpPort; }
+  bool draining() const { return Frames.draining(); }
+  uint16_t tcpPort() const { return Frames.tcpPort(); }
   RemoteCacheStore &store() { return Store; }
 
 private:
-  struct Conn;
-
-  void acceptLoop(support::Socket &L, bool RequireAuth);
-  void connLoop(std::shared_ptr<Conn> C);
-  /// False closes the connection (failed auth handshake).
-  bool handleFrame(const std::shared_ptr<Conn> &C, const std::string &Raw);
-
-  RemoteCacheServerOptions Opts;
   RemoteCacheStore Store;
-
-  support::Socket Listen;
-  support::Socket ListenTcp;
-  uint16_t TcpPort = 0;
-  std::thread Acceptor;
-  std::thread TcpAcceptor;
-
-  std::mutex ConnsM;
-  std::condition_variable ConnsCV;
-  std::vector<std::shared_ptr<Conn>> Conns;
-
-  std::mutex DrainM;
-  std::condition_variable DrainCV;
-  std::atomic<bool> Draining{false};
-  std::atomic<bool> Stopping{false};
-  bool Started = false;
+  service::FrameServer Frames;
 };
 
 /// The shard-side tier: one connection to an accached daemon, lazily
@@ -148,24 +106,12 @@ public:
   bool get(uint64_t Key, core::CachedFunc &Out) override;
   void put(const core::CachedFunc &E) override;
 
-  /// Liveness probe (dials if needed).
-  bool ping();
-  /// Fetches the daemon's `stats` payload.
-  bool stats(support::Json &Out);
-  /// Fetches the daemon's `metrics` payload (Prometheus text in `body`).
-  bool metrics(support::Json &Out);
-  /// Drains the daemon's trace buffers (`trace_pull` payload).
-  bool tracePull(support::Json &Out);
-
 private:
   /// Dials (and authenticates) if not connected. Caller holds M.
   bool ensureConnected();
-  /// One request/reply exchange; drops the connection on any failure so
-  /// the next call re-dials. Caller holds M.
-  bool roundTrip(const support::Json &Req, support::Json &Resp);
 
   std::string Addr, Token;
-  support::Socket Sock;
+  service::Client Conn;
   std::mutex M;
 };
 

@@ -256,8 +256,9 @@ std::unique_ptr<AutoCorres> AutoCorres::run(const std::string &Source,
 
   // The whole L1 -> L2 -> HL -> WA chain for the function at \p OrderIdx.
   // Safe to run concurrently for different functions once their callees
-  // are done (the call-graph schedule guarantees it); at Jobs=1 it is run
-  // in FunctionOrder, which is exactly the serial pipeline.
+  // are done (the call-graph schedule guarantees it). Every job count
+  // runs it callee-first, so a caller always sees its callees' final
+  // abstractions, even for a call to a function defined later.
   auto processFn = [&](size_t OrderIdx) {
     double C0 = threadCpuSeconds();
     const std::string &Name = Order[OrderIdx];
@@ -340,18 +341,20 @@ std::unique_ptr<AutoCorres> AutoCorres::run(const std::string &Source,
     AC->Funcs.emplace(Name, std::move(Out));
   };
 
+  // One unit of work per call-graph SCC (simpl/CallGraph.h), callee
+  // components first; an SCC runs its members in FunctionOrder.
+  // Cache-replayed functions are skipped inside their SCC, so a fully
+  // cached SCC is a no-op that merely releases its dependents.
+  const simpl::CallGraph &CG = AC->Prog->Calls;
   if (Jobs <= 1) {
-    // Serial reference path: no pool, no scheduler.
-    for (size_t I = 0; I != Order.size(); ++I)
-      if (!Hit[I])
-        processFn(I);
+    // Serial reference path: no pool, no scheduler, the SCCs in order.
+    for (const std::vector<unsigned> &SCC : CG.SCCs)
+      for (unsigned I : SCC)
+        if (!Hit[I])
+          processFn(I);
   } else {
-    // One task per call-graph SCC (simpl/CallGraph.h); a task runs its
-    // members in serial (FunctionOrder) order and becomes ready the
-    // moment its callee components finish — no phase barriers.
-    // Cache-replayed functions are skipped inside their task, so a fully
-    // cached SCC is a no-op that merely releases its dependents.
-    const simpl::CallGraph &CG = AC->Prog->Calls;
+    // One task per SCC, ready the moment its callee components finish —
+    // no phase barriers.
     std::vector<std::function<void()>> Tasks;
     Tasks.reserve(CG.SCCs.size());
     for (const std::vector<unsigned> &SCC : CG.SCCs)

@@ -157,11 +157,18 @@ struct TranslationUnit {
   std::vector<std::unique_ptr<FuncDecl>> Functions;
   std::vector<GlobalVarDecl> Globals;
 
+  /// The definition of \p Name when the unit has one, else its first
+  /// declaration (a prototype); null when \p Name is undeclared.
   const FuncDecl *function(const std::string &Name) const {
+    const FuncDecl *First = nullptr;
     for (const auto &F : Functions)
-      if (F->Name == Name)
-        return F.get();
-    return nullptr;
+      if (F->Name == Name) {
+        if (F->Body)
+          return F.get();
+        if (!First)
+          First = F.get();
+      }
+    return First;
   }
   const GlobalVarDecl *global(const std::string &Name) const {
     for (const GlobalVarDecl &G : Globals)

@@ -11,8 +11,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <sys/socket.h>
-#include <unistd.h>
 
 using namespace ac;
 using namespace ac::router;
@@ -22,7 +20,6 @@ using service::ErrorCode;
 using support::FaultSite;
 using support::Fingerprint;
 using support::Json;
-using support::Socket;
 
 // Fault sites at the router's two network edges. Dial covers a shard
 // that is down before the request starts; forward covers a shard that
@@ -79,27 +76,24 @@ static void traceInstant(
   support::Trace::record(Name, Now, Now, std::move(Args));
 }
 
-/// One client connection (same shape as the acd server's).
-struct Router::Conn {
-  Socket Sock;
-  std::mutex WriteM;
-  bool NeedsAuth = false;
-
-  explicit Conn(Socket S) : Sock(std::move(S)) {}
-
-  bool send(const Json &J) {
-    std::lock_guard<std::mutex> L(WriteM);
-    return Sock.sendFrame(J.dump());
-  }
-};
-
-Router::Router(RouterOptions O) : Opts(std::move(O)) {
+Router::Router(RouterOptions O)
+    : Opts(std::move(O)), Frames(Opts, "acrouter", "router") {
   if (Opts.VirtualNodes == 0)
     Opts.VirtualNodes = 1;
   if (Opts.MaxInFlightPerShard == 0)
     Opts.MaxInFlightPerShard = 1;
   if (Opts.BreakerThreshold == 0)
     Opts.BreakerThreshold = 1;
+  using ConnRef = service::FrameServer::ConnRef;
+  Frames.on("check",
+            [this](const ConnRef &C, const Json &J) { handleCheck(C, J); });
+  Frames.on("stats",
+            [this](const ConnRef &C, const Json &) { C->send(statsJson()); });
+  Frames.on("metrics", [this](const ConnRef &C, const Json &) {
+    C->send(federatedMetricsJson());
+  });
+  Frames.on("fleet",
+            [this](const ConnRef &C, const Json &) { C->send(fleetJson()); });
 }
 
 Router::~Router() { stop(); }
@@ -148,8 +142,6 @@ size_t Router::shardFor(uint64_t Key) const {
 bool Router::start() {
   if (Opts.Shards.empty())
     return false;
-  if (Opts.SocketPath.empty() && Opts.ListenAddr.empty())
-    return false;
   for (const std::string &Addr : Opts.Shards)
     ShardList.push_back(std::make_unique<ShardState>(Addr));
   // The ring hashes by shard *address*, so the mapping is stable under
@@ -161,33 +153,9 @@ bool Router::start() {
       FP.u32(V);
       Ring[mix64(FP.digest())] = I;
     }
-  if (!Opts.SocketPath.empty()) {
-    Listen = Socket::listenUnix(Opts.SocketPath);
-    if (!Listen.valid())
-      return false;
-  }
-  if (!Opts.ListenAddr.empty()) {
-    std::string Host;
-    uint16_t Port = 0;
-    if (!support::parseHostPort(Opts.ListenAddr, Host, Port,
-                                /*AllowPortZero=*/true))
-      return false;
-    ListenTcp = Socket::listenTcp(Host, Port);
-    if (!ListenTcp.valid())
-      return false;
-    TcpPort = ListenTcp.boundPort();
-  }
-  if (Opts.TraceLive) {
-    support::Trace::setRole("router");
-    support::Trace::start();
-  }
+  if (!Frames.start())
+    return false;
   Started = true;
-  if (Listen.valid())
-    Acceptor =
-        std::thread([this] { acceptLoop(Listen, /*RequireAuth=*/false); });
-  if (ListenTcp.valid())
-    TcpAcceptor = std::thread(
-        [this] { acceptLoop(ListenTcp, !Opts.AuthToken.empty()); });
   Prober = std::thread([this] { probeLoop(); });
   return true;
 }
@@ -196,37 +164,15 @@ void Router::stop() {
   if (!Started)
     return;
   Stopping.store(true);
-  {
-    std::lock_guard<std::mutex> L(DrainM);
-    DrainCV.notify_all();
-  }
-  if (Acceptor.joinable())
-    Acceptor.join();
-  if (TcpAcceptor.joinable())
-    TcpAcceptor.join();
   Prober.join();
-  {
-    std::unique_lock<std::mutex> L(ConnsM);
-    for (const std::shared_ptr<Conn> &C : Conns)
-      ::shutdown(C->Sock.fd(), SHUT_RDWR);
-    ConnsCV.wait(L, [&] { return Conns.empty(); });
-  }
+  Frames.stop();
   // A hedge's losing attempt can outlive its request; wait it out so no
   // detached thread touches ShardList after we return.
   {
     std::unique_lock<std::mutex> L(AttemptsM);
     AttemptsCV.wait(L, [&] { return Attempts.load() == 0; });
   }
-  Listen.close();
-  ListenTcp.close();
-  if (!Opts.SocketPath.empty())
-    ::unlink(Opts.SocketPath.c_str());
   Started = false;
-}
-
-void Router::waitDrainRequested() {
-  std::unique_lock<std::mutex> L(DrainM);
-  DrainCV.wait(L, [&] { return Draining.load() || Stopping.load(); });
 }
 
 //===----------------------------------------------------------------------===//
@@ -296,134 +242,6 @@ void Router::probeLoop() {
       noteForwardFailure(*S);
     }
   }
-}
-
-//===----------------------------------------------------------------------===//
-// Accepting and dispatch
-//===----------------------------------------------------------------------===//
-
-void Router::acceptLoop(Socket &L, bool RequireAuth) {
-  while (!Stopping.load()) {
-    if (!L.waitReadable(100))
-      continue;
-    Socket S = L.accept();
-    if (!S.valid() || Stopping.load())
-      continue;
-    auto C = std::make_shared<Conn>(std::move(S));
-    C->NeedsAuth = RequireAuth;
-    {
-      std::lock_guard<std::mutex> G(ConnsM);
-      Conns.push_back(C);
-    }
-    std::thread([this, C] { connLoop(C); }).detach();
-  }
-}
-
-void Router::connLoop(std::shared_ptr<Conn> C) {
-  while (!Stopping.load()) {
-    if (!C->Sock.waitReadable(200)) {
-      if (C->Sock.peerClosed())
-        break;
-      continue;
-    }
-    std::string Raw;
-    if (!C->Sock.recvFrame(Raw))
-      break;
-    if (!handleFrame(C, Raw))
-      break;
-  }
-  std::lock_guard<std::mutex> L(ConnsM);
-  for (size_t I = 0; I != Conns.size(); ++I)
-    if (Conns[I] == C) {
-      Conns.erase(Conns.begin() + I);
-      break;
-    }
-  ConnsCV.notify_all();
-}
-
-bool Router::handleFrame(const std::shared_ptr<Conn> &C,
-                         const std::string &Raw) {
-  Json J;
-  std::string Err;
-  if (!Json::parse(Raw, J, Err)) {
-    C->send(CheckResponse::error(ErrorCode::BadRequest,
-                                 "malformed JSON: " + Err)
-                .toJson());
-    return !C->NeedsAuth;
-  }
-  if (J.has("v") && J.get("v").asInt() != service::ProtocolVersion) {
-    C->send(CheckResponse::error(ErrorCode::BadRequest,
-                                 "unsupported protocol version")
-                .toJson());
-    return !C->NeedsAuth;
-  }
-  const std::string &Op = J.get("op").asString();
-  if (Op == "auth") {
-    if (!service::constantTimeEqual(J.get("token").asString(),
-                                    Opts.AuthToken)) {
-      support::Log::warn("auth.failed", {{"daemon", "acrouter"}});
-      C->send(CheckResponse::error(ErrorCode::AuthFailed,
-                                   "auth token mismatch")
-                  .toJson());
-      return false;
-    }
-    C->NeedsAuth = false;
-    Json R = Json::object();
-    R.set("ok", true);
-    R.set("op", "auth");
-    C->send(R);
-    return true;
-  }
-  if (C->NeedsAuth) {
-    support::Log::warn("auth.failed", {{"daemon", "acrouter"},
-                                       {"reason", "no auth handshake"}});
-    C->send(CheckResponse::error(ErrorCode::AuthFailed,
-                                 "auth required before `" + Op + "`")
-                .toJson());
-    return false;
-  }
-  if (Op == "ping") {
-    Json R = Json::object();
-    R.set("ok", true);
-    R.set("op", "pong");
-    C->send(R);
-  } else if (Op == "stats") {
-    C->send(statsJson());
-  } else if (Op == "metrics") {
-    C->send(federatedMetricsJson());
-  } else if (Op == "fleet") {
-    C->send(fleetJson());
-  } else if (Op == "trace_pull") {
-    Json R = Json::object();
-    R.set("ok", true);
-    R.set("op", "trace_pull");
-    R.set("pid", static_cast<uint64_t>(::getpid()));
-    R.set("role", support::Trace::role());
-    R.set("body", support::Trace::exportJson(/*Reset=*/true));
-    C->send(R);
-  } else if (Op == "drain") {
-    {
-      std::lock_guard<std::mutex> L(DrainM);
-      Draining.store(true);
-      DrainCV.notify_all();
-    }
-    Json R = Json::object();
-    R.set("ok", true);
-    R.set("draining", true);
-    C->send(R);
-  } else if (Op == "check") {
-    CheckRequest Req;
-    if (!CheckRequest::fromJson(J, Req, Err)) {
-      C->send(CheckResponse::error(ErrorCode::BadRequest, Err).toJson());
-      return true;
-    }
-    handleCheck(C, std::move(Req));
-  } else {
-    C->send(CheckResponse::error(ErrorCode::BadRequest,
-                                 "unknown op `" + Op + "`")
-                .toJson());
-  }
-  return true;
 }
 
 //===----------------------------------------------------------------------===//
@@ -623,7 +441,14 @@ bool Router::hedgedForward(size_t PrimaryIdx, uint64_t Key,
   return true;
 }
 
-void Router::handleCheck(const std::shared_ptr<Conn> &C, CheckRequest Req) {
+void Router::handleCheck(const service::FrameServer::ConnRef &C,
+                         const Json &J) {
+  CheckRequest Req;
+  std::string Err;
+  if (!CheckRequest::fromJson(J, Req, Err)) {
+    C->send(CheckResponse::error(ErrorCode::BadRequest, Err).toJson());
+    return;
+  }
   Received.fetch_add(1);
   auto Admitted = std::chrono::steady_clock::now();
   // The fleet's front door mints the trace id: every hop downstream —
@@ -640,7 +465,7 @@ void Router::handleCheck(const std::shared_ptr<Conn> &C, CheckRequest Req) {
       Resp.TraceId = Req.TraceId;
     C->send(Resp.toJson());
   };
-  if (Draining.load()) {
+  if (Frames.draining()) {
     ReqSpan.arg("outcome", "draining");
     CheckResponse Resp =
         CheckResponse::error(ErrorCode::Draining, "router is draining");
@@ -772,7 +597,7 @@ ac::support::Json Router::statsJson() {
   Json J = Json::object();
   J.set("ok", true);
   J.set("role", "router");
-  J.set("draining", Draining.load());
+  J.set("draining", Frames.draining());
   J.set("received", Received.load());
   J.set("completed", Completed.load());
   J.set("rerouted", Rerouted.load());

@@ -36,8 +36,8 @@
 #define AC_ROUTER_ROUTER_H
 
 #include "service/Client.h"
+#include "service/FrameServer.h"
 #include "service/Protocol.h"
-#include "support/Socket.h"
 
 #include <atomic>
 #include <condition_variable>
@@ -51,14 +51,11 @@
 
 namespace ac::router {
 
-/// acrouter configuration.
-struct RouterOptions {
-  /// Unix listening socket ("" = none).
-  std::string SocketPath;
-  /// TCP listen address "host:port" ("" = none); port 0 = ephemeral.
-  std::string ListenAddr;
-  /// Token clients must present on the router's TCP listener ("" = open).
-  std::string AuthToken;
+/// acrouter configuration. The client-facing listener fields (SocketPath,
+/// ListenAddr, AuthToken, TraceLive) come from ListenOptions; with
+/// TraceLive the router records router.request / router.forward spans
+/// (role "router") and propagates the trace context on every forward.
+struct RouterOptions : service::ListenOptions {
   /// Token the router presents when dialing shards ("" = none).
   std::string ShardToken;
   /// Shard addresses, "host:port" each. At least one.
@@ -97,10 +94,6 @@ struct RouterOptions {
   /// `metrics` exposition and the `fleet` payload alongside the shards.
   /// "" = no cache tier. Dialed with ShardToken.
   std::string CacheAddr;
-  /// Live fleet tracing: record router.request / router.forward spans
-  /// (role "router") for the `trace_pull` op, and propagate the trace
-  /// context (trace_id + parent_span) on every forward.
-  bool TraceLive = false;
 };
 
 /// Circuit-breaker states of one shard. Closed = routing normally;
@@ -163,11 +156,8 @@ public:
   bool start();
   void stop();
 
-  /// Blocks until a `drain` op arrives (or stop()).
-  void waitDrainRequested();
-
-  bool draining() const { return Draining.load(); }
-  uint16_t tcpPort() const { return TcpPort; }
+  bool draining() const { return Frames.draining(); }
+  uint16_t tcpPort() const { return Frames.tcpPort(); }
   const RouterOptions &options() const { return Opts; }
 
   /// The routing key for \p Req: a fingerprint of the request *content*
@@ -181,13 +171,8 @@ public:
   size_t shardFor(uint64_t Key) const;
 
 private:
-  struct Conn;
-
-  void acceptLoop(support::Socket &L, bool RequireAuth);
-  void connLoop(std::shared_ptr<Conn> C);
-  bool handleFrame(const std::shared_ptr<Conn> &C, const std::string &Raw);
-  void handleCheck(const std::shared_ptr<Conn> &C,
-                   service::CheckRequest Req);
+  void handleCheck(const service::FrameServer::ConnRef &C,
+                   const support::Json &J);
   void probeLoop();
 
   /// One forward attempt to \p S. False on transport failure; a
@@ -248,22 +233,11 @@ private:
   std::mutex AttemptsM;
   std::condition_variable AttemptsCV;
 
-  support::Socket Listen;
-  support::Socket ListenTcp;
-  uint16_t TcpPort = 0;
-  std::thread Acceptor;
-  std::thread TcpAcceptor;
+  service::FrameServer Frames;
   std::thread Prober;
-
-  std::mutex ConnsM;
-  std::condition_variable ConnsCV;
-  std::vector<std::shared_ptr<Conn>> Conns;
 
   /// In-flight forwards, for graceful drain.
   std::atomic<size_t> Forwarding{0};
-  std::mutex DrainM;
-  std::condition_variable DrainCV;
-  std::atomic<bool> Draining{false};
   std::atomic<bool> Stopping{false};
   bool Started = false;
 };

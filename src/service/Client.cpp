@@ -32,22 +32,28 @@ Client Client::connectTcp(const std::string &HostPort,
     Err = "cannot connect to " + HostPort;
     return C;
   }
+  C.authenticate(Token, Err);
+  return C;
+}
+
+bool Client::authenticate(const std::string &Token, std::string &Err) {
   if (Token.empty())
-    return C;
+    return true;
   Json Req = Json::object();
   Req.set("v", ProtocolVersion);
   Req.set("op", "auth");
   Req.set("token", Token);
   Json Resp;
-  if (!C.roundTrip(Req, Resp, Err)) {
-    C.Sock.close();
-    return C;
+  if (!roundTrip(Req, Resp, Err)) {
+    Sock.close();
+    return false;
   }
   if (!Resp.get("ok").asBool()) {
     Err = "auth_failed: " + Resp.get("message").asString();
-    C.Sock.close();
+    Sock.close();
+    return false;
   }
-  return C;
+  return true;
 }
 
 bool Client::roundTrip(const Json &Req, Json &Resp, std::string &Err) {

@@ -57,8 +57,17 @@ public:
   static Client connectTcp(const std::string &HostPort,
                            const std::string &Token, std::string &Err);
 
+  /// The auth handshake connectTcp() performs, for a connection dialed
+  /// another way. A no-op for an empty \p Token; a refused token closes
+  /// the connection and sets \p Err.
+  bool authenticate(const std::string &Token, std::string &Err);
+
   bool connected() const { return Sock.valid(); }
   support::Socket &socket() { return Sock; }
+
+  /// Sends \p Req as one frame and decodes the reply frame.
+  bool roundTrip(const support::Json &Req, support::Json &Resp,
+                 std::string &Err);
 
   /// One check round-trip. Returns false only on transport/decode
   /// failure; a daemon-side rejection is a successful round-trip with
@@ -99,10 +108,6 @@ public:
   bool drain(std::string &Err);
 
 private:
-  /// Sends \p Req as one frame and decodes the reply frame.
-  bool roundTrip(const support::Json &Req, support::Json &Resp,
-                 std::string &Err);
-
   support::Socket Sock;
 };
 

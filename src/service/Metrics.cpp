@@ -197,7 +197,6 @@ ServiceMetrics::snapshot(size_t QueueDepth, size_t QueueCapacity,
   S.Cancelled = Cancelled.load();
   S.DeadlineExceeded = DeadlineExceeded.load();
   S.Rejected = Rejected.load();
-  S.AuthFailed = AuthFailed.load();
   S.Shed = Shed.load();
   S.QuotaRejected = QuotaRejected.load();
   {
@@ -419,12 +418,4 @@ ServiceMetrics::Snapshot::toPrometheus(const std::string &ShardId,
               "buckets carry an exemplar trace id).",
               Wait, WaitBuckets, WaitExemplars);
   return O;
-}
-
-Json ServiceMetrics::toJson(size_t QueueDepth, size_t QueueCapacity,
-                            size_t InFlight, unsigned Workers,
-                            size_t MemCacheEntries, bool Draining) const {
-  return snapshot(QueueDepth, QueueCapacity, InFlight, Workers,
-                  MemCacheEntries, Draining)
-      .toJson();
 }

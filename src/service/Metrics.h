@@ -56,9 +56,6 @@ struct ServiceMetrics {
   std::atomic<uint64_t> Cancelled{0};
   std::atomic<uint64_t> DeadlineExceeded{0};
   std::atomic<uint64_t> Rejected{0};
-  /// TCP connections dropped for a wrong/missing auth token (these never
-  /// reach admission, so they are counted separately from Rejected).
-  std::atomic<uint64_t> AuthFailed{0};
   /// Load-shed refusals: bulk requests whose remaining deadline budget
   /// could not cover the observed p99 service time, plus per-tenant
   /// quota refusals. Like Rejected, shed requests never enter the queue.
@@ -228,15 +225,11 @@ struct ServiceMetrics {
   };
 
   /// Captures a Snapshot. The queue/in-flight gauges are owned by the
-  /// server and passed in.
+  /// server and passed in. Snapshot::AuthFailed is left 0 for the server
+  /// to fill: its FrameServer counts refused auth handshakes.
   Snapshot snapshot(size_t QueueDepth, size_t QueueCapacity, size_t InFlight,
                     unsigned Workers, size_t MemCacheEntries,
                     bool Draining) const;
-
-  /// Renders the `stats` response payload (snapshot() + toJson()).
-  support::Json toJson(size_t QueueDepth, size_t QueueCapacity,
-                       size_t InFlight, unsigned Workers,
-                       size_t MemCacheEntries, bool Draining) const;
 };
 
 } // namespace ac::service

@@ -14,13 +14,10 @@
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
-#include <sys/socket.h>
-#include <unistd.h>
 
 using namespace ac::service;
 using namespace ac::core;
 using ac::support::Json;
-using ac::support::Socket;
 
 namespace {
 
@@ -39,29 +36,11 @@ static const ac::support::FaultSite FaultShedStale("server.shed.stale");
 static const ac::support::FaultSite
     FaultQuotaReject("server.quota.reject");
 
-/// One client connection: the socket plus a write lock so the reader
-/// thread (inline replies) and a session worker (check responses) never
-/// interleave frames.
-struct Server::Conn {
-  Socket Sock;
-  std::mutex WriteM;
-  /// TCP connection on an authenticated listener that has not presented
-  /// the token yet. Only the connection's reader thread touches it.
-  bool NeedsAuth = false;
-
-  explicit Conn(Socket S) : Sock(std::move(S)) {}
-
-  bool send(const Json &J) {
-    std::lock_guard<std::mutex> L(WriteM);
-    return Sock.sendFrame(J.dump());
-  }
-};
-
 /// One admitted check request, shared between the queue, the worker that
 /// runs it, the watchdog that enforces its deadline, and the connection
 /// thread that waits for completion.
 struct Server::Request {
-  std::shared_ptr<Conn> C;
+  FrameServer::ConnRef C;
   CheckRequest Req;
   std::chrono::steady_clock::time_point Admitted;
   /// Deadline, measured from admission; meaningful iff HasDeadline.
@@ -95,11 +74,29 @@ struct Server::Request {
   }
 };
 
-Server::Server(ServerOptions O) : Opts(std::move(O)) {
+Server::Server(ServerOptions O)
+    : Opts(std::move(O)), Frames(Opts, "acd", "shard") {
   if (Opts.Workers == 0)
     Opts.Workers = 1;
   if (Opts.QueueCapacity == 0)
     Opts.QueueCapacity = 1;
+  using ConnRef = FrameServer::ConnRef;
+  Frames.on("check",
+            [this](const ConnRef &C, const Json &J) { handleCheck(C, J); });
+  Frames.on("stats", [this](const ConnRef &C, const Json &) {
+    // Top-level rather than under "cache": the counter lives on the
+    // ResultCache instances, not in ServiceMetrics' snapshot.
+    Json J = snapshot().toJson();
+    J.set("remote_hits", static_cast<uint64_t>(remoteHitsTotal()));
+    C->send(J);
+  });
+  Frames.on("metrics", [this](const ConnRef &C, const Json &) {
+    Json R = Json::object();
+    R.set("ok", true);
+    R.set("content_type", "text/plain; version=0.0.4");
+    R.set("body", snapshot().toPrometheus(Opts.ShardId, "shard"));
+    C->send(R);
+  });
 }
 
 Server::~Server() { stop(); }
@@ -124,28 +121,9 @@ bool Server::start() {
                          {{"path", Opts.CertDir},
                           {"error", EC.message()}});
   }
-  if (Opts.SocketPath.empty() && Opts.ListenAddr.empty())
-    return false; // nothing to listen on
-  if (!Opts.SocketPath.empty()) {
-    Listen = Socket::listenUnix(Opts.SocketPath);
-    if (!Listen.valid())
-      return false;
-  }
-  if (!Opts.ListenAddr.empty()) {
-    std::string Host;
-    uint16_t Port = 0;
-    if (!support::parseHostPort(Opts.ListenAddr, Host, Port,
-                                /*AllowPortZero=*/true))
-      return false;
-    ListenTcp = Socket::listenTcp(Host, Port);
-    if (!ListenTcp.valid())
-      return false;
-    TcpPort = ListenTcp.boundPort();
-  }
-  if (Opts.TraceLive) {
-    support::Trace::setRole("shard");
-    support::Trace::start();
-  } else if (!Opts.TraceDir.empty()) {
+  if (!Frames.start())
+    return false;
+  if (!Opts.TraceLive && !Opts.TraceDir.empty()) {
     // Per-request trace files. Collecting from start-up, not from the
     // first request's run, gives that request its acd.request root span
     // (opened before the run) like every later one. Rule fire counts ride
@@ -156,19 +134,13 @@ bool Server::start() {
     support::Trace::start();
   }
   Started = true;
-  if (Listen.valid())
-    Acceptor =
-        std::thread([this] { acceptLoop(Listen, /*RequireAuth=*/false); });
-  if (ListenTcp.valid())
-    TcpAcceptor = std::thread(
-        [this] { acceptLoop(ListenTcp, !Opts.AuthToken.empty()); });
   Watchdog = std::thread([this] { watchdogLoop(); });
   for (unsigned I = 0; I != Opts.Workers; ++I)
     SessionWorkers.emplace_back([this] { workerLoop(); });
   return true;
 }
 
-void Server::beginDrain() { Draining.store(true); }
+void Server::beginDrain() { Frames.beginDrain(); }
 
 void Server::waitDrained() {
   {
@@ -191,27 +163,11 @@ void Server::stop() {
     QueueCV.notify_all();
     WatchCV.notify_all();
   }
-  if (Acceptor.joinable())
-    Acceptor.join();
-  if (TcpAcceptor.joinable())
-    TcpAcceptor.join();
   Watchdog.join();
   for (std::thread &W : SessionWorkers)
     W.join();
   SessionWorkers.clear();
-  // Wake reader threads blocked in waitReadable and wait for each to
-  // unregister itself; they hold shared ownership of their Conn, so the
-  // sockets stay valid until the last reader is gone.
-  {
-    std::unique_lock<std::mutex> L(ConnsM);
-    for (const std::shared_ptr<Conn> &C : Conns)
-      ::shutdown(C->Sock.fd(), SHUT_RDWR);
-    ConnsCV.wait(L, [&] { return Conns.empty(); });
-  }
-  Listen.close();
-  ListenTcp.close();
-  if (!Opts.SocketPath.empty())
-    ::unlink(Opts.SocketPath.c_str());
+  Frames.stop();
   Started = false;
 }
 
@@ -220,145 +176,14 @@ size_t Server::queueDepth() const {
   return Queue.size();
 }
 
-//===----------------------------------------------------------------------===//
-// Accepting and reading
-//===----------------------------------------------------------------------===//
-
-void Server::acceptLoop(Socket &L, bool RequireAuth) {
-  while (!Stopping.load()) {
-    if (!L.waitReadable(100))
-      continue;
-    Socket S = L.accept();
-    if (!S.valid() || Stopping.load())
-      continue;
-    auto C = std::make_shared<Conn>(std::move(S));
-    C->NeedsAuth = RequireAuth;
-    {
-      std::lock_guard<std::mutex> L(ConnsM);
-      Conns.push_back(C);
-    }
-    // Reader threads are detached; stop() waits for Conns to empty, so
-    // none can outlive the server.
-    std::thread([this, C] { connLoop(C); }).detach();
-  }
-}
-
-void Server::connLoop(std::shared_ptr<Conn> C) {
-  while (!Stopping.load()) {
-    if (!C->Sock.waitReadable(200)) {
-      if (C->Sock.peerClosed())
-        break;
-      continue;
-    }
-    std::string Raw;
-    if (!C->Sock.recvFrame(Raw))
-      break; // EOF or framing error
-    if (!handleFrame(C, Raw))
-      break; // failed auth handshake — connection closed
-  }
-  std::lock_guard<std::mutex> L(ConnsM);
-  for (size_t I = 0; I != Conns.size(); ++I)
-    if (Conns[I] == C) {
-      Conns.erase(Conns.begin() + I);
-      break;
-    }
-  ConnsCV.notify_all();
-}
-
-bool Server::handleFrame(const std::shared_ptr<Conn> &C,
-                         const std::string &Raw) {
-  Json J;
-  std::string Err;
-  if (!Json::parse(Raw, J, Err)) {
-    C->send(CheckResponse::error(ErrorCode::BadRequest,
-                                 "malformed JSON: " + Err)
-                .toJson());
-    // A garbage first frame on an authenticated listener still drops
-    // the connection — unauthenticated peers get exactly one frame.
-    return !C->NeedsAuth;
-  }
-  if (J.has("v") && J.get("v").asInt() != ProtocolVersion) {
-    C->send(CheckResponse::error(ErrorCode::BadRequest,
-                                 "unsupported protocol version")
-                .toJson());
-    return !C->NeedsAuth;
-  }
-  const std::string &Op = J.get("op").asString();
-  if (Op == "auth") {
-    // Constant-time compare even when no token is configured, so an
-    // open listener is timing-indistinguishable too.
-    const std::string &Given = J.get("token").asString();
-    bool Ok = constantTimeEqual(Given, Opts.AuthToken);
-    if (!Ok) {
-      Metrics.AuthFailed.fetch_add(1);
-      support::Log::warn("auth.failed",
-                         {{"reason", Given.empty() ? "missing token"
-                                                   : "wrong token"}});
-      C->send(CheckResponse::error(ErrorCode::AuthFailed,
-                                   "auth token mismatch")
-                  .toJson());
-      return false; // close the connection
-    }
-    C->NeedsAuth = false;
-    Json R = Json::object();
-    R.set("ok", true);
-    R.set("op", "auth");
-    C->send(R);
-    return true;
-  }
-  if (C->NeedsAuth) {
-    Metrics.AuthFailed.fetch_add(1);
-    support::Log::warn("auth.failed", {{"reason", "no auth handshake"},
-                                       {"op", Op}});
-    C->send(CheckResponse::error(ErrorCode::AuthFailed,
-                                 "auth required before `" + Op + "`")
-                .toJson());
-    return false; // close the connection
-  }
-  if (Op == "ping") {
-    Json R = Json::object();
-    R.set("ok", true);
-    R.set("op", "pong");
-    C->send(R);
-  } else if (Op == "stats") {
-    C->send(statsJson());
-  } else if (Op == "metrics") {
-    C->send(metricsJson());
-  } else if (Op == "trace_pull") {
-    // Drains this process's span buffers into one Chrome-JSON fragment;
-    // a collector (actrace) pulls every fleet member and merges.
-    Json R = Json::object();
-    R.set("ok", true);
-    R.set("op", "trace_pull");
-    R.set("pid", static_cast<uint64_t>(getpid()));
-    R.set("role", support::Trace::role());
-    R.set("body", support::Trace::exportJson(/*Reset=*/true));
-    C->send(R);
-  } else if (Op == "drain") {
-    beginDrain();
-    Json R = Json::object();
-    R.set("ok", true);
-    R.set("draining", true);
-    C->send(R);
-  } else if (Op == "check") {
-    CheckRequest Req;
-    if (!CheckRequest::fromJson(J, Req, Err)) {
-      C->send(CheckResponse::error(ErrorCode::BadRequest, Err).toJson());
-      return true;
-    }
-    handleCheck(C, std::move(Req));
-  } else {
-    C->send(CheckResponse::error(ErrorCode::BadRequest,
-                                 "unknown op `" + Op + "`")
-                .toJson());
-  }
-  return true;
-}
-
-void Server::handleCheck(const std::shared_ptr<Conn> &C, CheckRequest Req) {
+void Server::handleCheck(const FrameServer::ConnRef &C, const Json &J) {
   auto R = std::make_shared<Request>();
   R->C = C;
-  R->Req = std::move(Req);
+  std::string Err;
+  if (!CheckRequest::fromJson(J, R->Req, Err)) {
+    C->send(CheckResponse::error(ErrorCode::BadRequest, Err).toJson());
+    return;
+  }
   // A trace id names the per-request trace file under --trace-dir, so a
   // client-supplied id is only accepted when it cannot steer the path
   // (pathSafeTraceId); anything else is discarded and the daemon names
@@ -404,7 +229,7 @@ void Server::handleCheck(const std::shared_ptr<Conn> &C, CheckRequest Req) {
   };
   {
     std::lock_guard<std::mutex> L(QueueM);
-    if (Draining.load()) {
+    if (Frames.draining()) {
       reject(ErrorCode::Draining, "daemon is draining", 0);
       return;
     }
@@ -595,7 +420,7 @@ void Server::runRequest(Request &R) {
   // The client may have hung up while the request sat in the queue;
   // don't burn a session on a response nobody will read. (Claim the
   // response so the watchdog doesn't answer a dead connection either.)
-  if (R.C->Sock.peerClosed()) {
+  if (R.C->peerClosed()) {
     if (R.claimRespond()) {
       Metrics.Cancelled.fetch_add(1);
       support::Log::info("request.cancelled",
@@ -750,25 +575,12 @@ void Server::runRequest(Request &R) {
 // Stats and cache tiers
 //===----------------------------------------------------------------------===//
 
-ac::support::Json Server::statsJson() {
-  Json J =
-      Metrics.toJson(queueDepth(), Opts.QueueCapacity, InFlight.load(),
-                     Opts.Workers, memCacheEntries(), Draining.load());
-  // Top-level rather than under "cache": the counter lives on the
-  // ResultCache instances, not in ServiceMetrics' snapshot.
-  J.set("remote_hits", static_cast<uint64_t>(remoteHitsTotal()));
-  return J;
-}
-
-ac::support::Json Server::metricsJson() {
+ServiceMetrics::Snapshot Server::snapshot() {
   ServiceMetrics::Snapshot S =
       Metrics.snapshot(queueDepth(), Opts.QueueCapacity, InFlight.load(),
-                       Opts.Workers, memCacheEntries(), Draining.load());
-  Json R = Json::object();
-  R.set("ok", true);
-  R.set("content_type", "text/plain; version=0.0.4");
-  R.set("body", S.toPrometheus(Opts.ShardId, "shard"));
-  return R;
+                       Opts.Workers, memCacheEntries(), Frames.draining());
+  S.AuthFailed = Frames.authFailures();
+  return S;
 }
 
 ResultCache *Server::cacheFor(const std::string &RequestedDir) {

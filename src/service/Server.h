@@ -13,15 +13,16 @@
 /// unchanged translation unit costs a cache probe and a render replay
 /// instead of a process start.
 ///
-/// Concurrency model: an acceptor thread hands each connection to its own
-/// reader thread; `stats` / `ping` / `drain` are answered inline, while
-/// `check` requests go through a bounded admission queue drained by a
-/// fixed set of session workers (each runs one AutoCorres::run, which is
-/// reentrant). A full queue is explicit backpressure: the request is
-/// rejected immediately with `busy` + `retry_after_ms` instead of
-/// stalling the connection. Clients that hang up while queued are
-/// detected at dequeue (and at response delivery) and their slot is
-/// simply freed — counted as `cancelled`, never leaked as in-flight.
+/// Concurrency model: the FrameServer (service/FrameServer.h) hands each
+/// connection to its own reader thread; `stats` / `ping` / `drain` are
+/// answered inline, while `check` requests go through a bounded admission
+/// queue drained by a fixed set of session workers (each runs one
+/// AutoCorres::run, which is reentrant). A full queue is explicit
+/// backpressure: the request is rejected immediately with `busy` +
+/// `retry_after_ms` instead of stalling the connection. Clients that hang
+/// up while queued are detected at dequeue (and at response delivery) and
+/// their slot is simply freed — counted as `cancelled`, never leaked as
+/// in-flight.
 ///
 /// Deadlines: a request carrying `timeout_ms` is watched from admission
 /// by a watchdog thread. On expiry the watchdog answers
@@ -41,9 +42,9 @@
 
 #include "core/AutoCorres.h"
 #include "core/ResultCache.h"
+#include "service/FrameServer.h"
 #include "service/Metrics.h"
 #include "service/Protocol.h"
-#include "support/Socket.h"
 #include "support/ThreadPool.h"
 
 #include <atomic>
@@ -58,19 +59,10 @@
 
 namespace ac::service {
 
-/// Daemon configuration.
-struct ServerOptions {
-  /// Path of the Unix-domain listening socket ("" = no Unix listener;
-  /// at least one of SocketPath / ListenAddr must be set).
-  std::string SocketPath;
-  /// TCP listen address as "host:port" ("" = no TCP listener). Port 0
-  /// binds an ephemeral port — recover it with Server::tcpPort().
-  std::string ListenAddr;
-  /// Shared auth token required on TCP connections ("" = open). The
-  /// first frame on an authenticated listener must be the auth op
-  /// (docs/PROTOCOL.md "Authentication"); Unix-socket connections are
-  /// never challenged — filesystem permissions are their auth.
-  std::string AuthToken;
+/// Daemon configuration. The listener fields (SocketPath, ListenAddr,
+/// AuthToken, TraceLive) come from ListenOptions; a live trace records
+/// under role "shard", and TraceLive wins over TraceDir.
+struct ServerOptions : ListenOptions {
   /// Label attached to every Prometheus metric this daemon exposes
   /// (`shard_id="..."`) so a fleet's scrapes aggregate per shard. "" =
   /// unlabeled, byte-identical to the pre-fleet surface.
@@ -111,13 +103,6 @@ struct ServerOptions {
   /// per-file rule profile and spans cover everything recorded since
   /// the previous flush.
   std::string TraceDir;
-  /// Live fleet tracing: Trace::start() at boot (role "shard") with
-  /// spans accumulating in the in-process ring buffers for the
-  /// `trace_pull` op to drain, instead of the per-request file flushing
-  /// TraceDir does — flushing would reset the very buffers a collector
-  /// is about to pull. When both are set, TraceLive wins and TraceDir
-  /// is ignored.
-  bool TraceLive = false;
   /// When set, every check request exports a proof certificate claiming
   /// its freshly derived pipeline theorems to
   /// `<CertDir>/<trace_id>.acpc` (hol/Cert.h). The filename reuses the
@@ -157,33 +142,26 @@ public:
   /// socket file. Called by the destructor if still running.
   void stop();
 
-  bool draining() const { return Draining.load(); }
+  bool draining() const { return Frames.draining(); }
   const ServerOptions &options() const { return Opts; }
   ServiceMetrics &metrics() { return Metrics; }
 
   /// The TCP port actually bound (resolves an ephemeral ":0" listen
   /// address); 0 when no TCP listener is configured.
-  uint16_t tcpPort() const { return TcpPort; }
+  uint16_t tcpPort() const { return Frames.tcpPort(); }
 
   /// Live queue depth / in-flight gauges (for tests and stats).
   size_t queueDepth() const;
   size_t inFlight() const { return InFlight.load(); }
 
 private:
-  struct Conn;
   struct Request;
 
-  void acceptLoop(support::Socket &L, bool RequireAuth);
-  void connLoop(std::shared_ptr<Conn> C);
   void workerLoop();
   void watchdogLoop();
 
-  /// Dispatches one decoded frame; false closes the connection (failed
-  /// auth handshake).
-  bool handleFrame(const std::shared_ptr<Conn> &C, const std::string &Raw);
-  void handleCheck(const std::shared_ptr<Conn> &C, CheckRequest Req);
-  support::Json statsJson();
-  support::Json metricsJson();
+  void handleCheck(const FrameServer::ConnRef &C, const support::Json &J);
+  ServiceMetrics::Snapshot snapshot();
 
   /// Runs the pipeline for one admitted request and sends the response.
   void runRequest(Request &R);
@@ -204,17 +182,9 @@ private:
   ServerOptions Opts;
   ServiceMetrics Metrics;
 
-  support::Socket Listen;
-  support::Socket ListenTcp;
-  uint16_t TcpPort = 0;
-  std::thread Acceptor;
-  std::thread TcpAcceptor;
+  FrameServer Frames;
   std::thread Watchdog;
   std::vector<std::thread> SessionWorkers;
-
-  std::mutex ConnsM;
-  std::condition_variable ConnsCV; ///< signalled when a reader exits
-  std::vector<std::shared_ptr<Conn>> Conns;
 
   mutable std::mutex QueueM;
   std::condition_variable QueueCV;  ///< workers wait for requests
@@ -244,7 +214,6 @@ private:
   std::mutex PoolM;
   std::unique_ptr<support::ThreadPool> Pool;
 
-  std::atomic<bool> Draining{false};
   std::atomic<bool> Stopping{false};
   bool Started = false;
 };

@@ -125,7 +125,9 @@ TEST(RemoteCacheWire, GetPutOverUnixSocket) {
   ASSERT_TRUE(Srv.start());
 
   RemoteCacheClient C(O.SocketPath);
-  EXPECT_TRUE(C.ping());
+  service::Client Admin = service::Client::connect(O.SocketPath);
+  std::string Err;
+  EXPECT_TRUE(Admin.ping(Err)) << Err;
 
   CachedFunc E = sampleEntry(0xfeedbeefull, "mid");
   CachedFunc Out;
@@ -135,7 +137,7 @@ TEST(RemoteCacheWire, GetPutOverUnixSocket) {
   EXPECT_EQ(bytes(Out), bytes(E));
 
   support::Json Stats;
-  ASSERT_TRUE(C.stats(Stats));
+  ASSERT_TRUE(Admin.stats(Stats, Err)) << Err;
   EXPECT_TRUE(Stats.get("ok").asBool());
   EXPECT_EQ(Stats.get("entries").asInt(), 1);
   EXPECT_EQ(Stats.get("puts").asInt(), 1);
@@ -217,7 +219,8 @@ TEST(RemoteCacheWire, ClientSurvivesDaemonRestart) {
   // transparently and the tier works again.
   RemoteCacheServer Srv2(O);
   ASSERT_TRUE(Srv2.start());
-  EXPECT_TRUE(C.ping());
+  std::string Err;
+  EXPECT_TRUE(service::Client::connect(O.SocketPath).ping(Err)) << Err;
   EXPECT_FALSE(C.get(E.Key, Out)) << "restarted store starts cold";
   C.put(E);
   ASSERT_TRUE(C.get(E.Key, Out));

@@ -219,6 +219,25 @@ TEST_F(CacheTest, WarmReplayIsJobCountInvariant) {
   expectIdentical(Ref, Warm4, "uncached vs warm Jobs=4");
 }
 
+TEST_F(CacheTest, ForwardCallMatchesColdAndWarmCallee) {
+  // f calls g, defined after it. Whether g is abstracted in this run or
+  // replayed from the cache, a Jobs=1 run must render f the same way.
+  auto source = [](const char *K) {
+    return std::string("int f(int x) { return g(x) + ") + K +
+           "; }\nint g(int x) { return x * 2; }\n";
+  };
+  Snapshot Cold = runWith(source("1"), Dir);
+  EXPECT_EQ(Cold.Stats.CacheMisses, 2u);
+  expectIdentical(runWith(source("1"), /*CacheDir=*/""), Cold,
+                  "uncached vs cold");
+  // Editing f alone re-abstracts it against g's cached result.
+  Snapshot WarmCallee = runWith(source("3"), Dir);
+  EXPECT_EQ(WarmCallee.Stats.CacheHits, 1u);
+  EXPECT_EQ(WarmCallee.Stats.CacheMisses, 1u);
+  expectIdentical(runWith(source("3"), /*CacheDir=*/""), WarmCallee,
+                  "uncached vs warm callee");
+}
+
 TEST_F(CacheTest, CorruptCacheFileIsACleanMiss) {
   std::string Src = chainSource("x + 1u");
   runWith(Src, Dir);

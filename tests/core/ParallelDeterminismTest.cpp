@@ -91,6 +91,11 @@ void expectIdentical(const Snapshot &A, const Snapshot &B,
   EXPECT_EQ(A.Diags, B.Diags) << What << ": diagnostic stream diverged";
 }
 
+/// A caller defined before its callee, which C accepts without a
+/// prototype. No synthetic program has such a forward call.
+const char *ForwardCallSrc = "int f(int x) { return g(x) + 1; }\n"
+                             "int g(int x) { return x * 2; }\n";
+
 } // namespace
 
 TEST(ParallelDeterminism, ParallelMatchesSerialAndItself) {
@@ -115,4 +120,23 @@ TEST(ParallelDeterminism, OddJobCountAndSmallCorpus) {
   Snapshot Serial = runAt(Src, 1);
   Snapshot Par = runAt(Src, 3);
   expectIdentical(Serial, Par, "Jobs=1 vs Jobs=3");
+}
+
+TEST(ParallelDeterminism, ForwardCallMatchesAcrossJobCounts) {
+  // Every job count abstracts callees first, so f sees g's final
+  // abstraction at Jobs=1 exactly as it does at Jobs=4.
+  Snapshot Serial = runAt(ForwardCallSrc, 1);
+  ASSERT_EQ(Serial.Names.size(), 2u);
+  expectIdentical(Serial, runAt(ForwardCallSrc, 4), "Jobs=1 vs Jobs=4");
+}
+
+TEST(ParallelDeterminism, PrototypeBeforeDefinitionChangesNothing) {
+  // A prototype ahead of the definition must resolve calls to the
+  // definition: same output as without the prototype, at any job count.
+  std::string WithProto = std::string("int g(int);\n") + ForwardCallSrc;
+  Snapshot Plain = runAt(ForwardCallSrc, 1);
+  ASSERT_EQ(Plain.Names.size(), 2u);
+  for (unsigned Jobs : {1u, 4u})
+    expectIdentical(Plain, runAt(WithProto, Jobs),
+                    "with prototype, Jobs=" + std::to_string(Jobs));
 }

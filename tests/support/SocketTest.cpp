@@ -10,13 +10,18 @@
 /// partial reads, EINTR, and oversized frames included — and the TCP
 /// auth handshake must answer a typed `auth_failed` and close the
 /// connection for a wrong or missing token, while Unix connections are
-/// never challenged (filesystem permissions are their auth).
+/// never challenged (filesystem permissions are their auth). acd,
+/// acrouter and accached share one FrameServer, so the handshake, the
+/// frame errors and the shared ops are checked on each of them, byte for
+/// byte.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "cache/RemoteCache.h"
+#include "router/Router.h"
+#include "service/Client.h"
 #include "service/Protocol.h"
 #include "service/Server.h"
-#include "service/Client.h"
 #include "support/FaultInject.h"
 #include "support/Json.h"
 #include "support/Socket.h"
@@ -204,125 +209,204 @@ TEST(ConstantTimeEqual, Compares) {
 }
 
 //===----------------------------------------------------------------------===//
-// The auth handshake against a live daemon
+// The auth handshake and frame errors against every live daemon
 //===----------------------------------------------------------------------===//
 
-/// A TCP-only daemon requiring `Token`, plus a raw frame round-tripper.
-struct AuthFixture {
-  service::ServerOptions Opts;
-  service::Server Srv;
-
-  explicit AuthFixture(const std::string &Token, const std::string &Unix = "")
-      : Opts([&] {
-          service::ServerOptions O;
-          O.SocketPath = Unix;
-          O.ListenAddr = "127.0.0.1:0";
-          O.AuthToken = Token;
-          O.Workers = 1;
-          return O;
-        }()),
-        Srv(Opts) {
-    EXPECT_TRUE(Srv.start());
-  }
-
-  ~AuthFixture() { Srv.stop(); }
-
-  Socket dial() { return Socket::connectTcp("127.0.0.1", Srv.tcpPort()); }
-
-  static bool roundTrip(Socket &S, const Json &Req, Json &Resp) {
-    if (!S.sendFrame(Req.dump()))
-      return false;
-    std::string Raw, Err;
-    if (!S.recvFrame(Raw))
-      return false;
-    return Json::parse(Raw, Resp, Err);
-  }
-
-  static Json op(const std::string &Op) {
-    Json J = Json::object();
-    J.set("v", static_cast<int64_t>(service::ProtocolVersion));
-    J.set("op", Op);
-    return J;
-  }
+/// What a test needs of a daemon, whichever of the three it is.
+struct AnyDaemon {
+  virtual ~AnyDaemon() = default;
+  virtual bool start() = 0;
+  virtual void stop() = 0;
+  virtual uint16_t tcpPort() const = 0;
 };
 
-TEST(TcpAuth, WrongTokenGetsTypedErrorAndClose) {
-  AuthFixture F("right-token");
-  Socket S = F.dial();
-  ASSERT_TRUE(S.valid());
-  Json Req = AuthFixture::op("auth");
-  Req.set("token", "wrong-token");
-  Json Resp;
-  ASSERT_TRUE(AuthFixture::roundTrip(S, Req, Resp));
-  EXPECT_FALSE(Resp.get("ok").asBool());
-  EXPECT_EQ(Resp.get("error").asString(), "auth_failed");
-  // The daemon hangs up after a failed handshake: either the next send
-  // bounces off the closed socket or its reply never comes.
-  bool Sent = S.sendFrame(AuthFixture::op("ping").dump());
+template <typename DaemonT> struct Boxed : AnyDaemon {
+  DaemonT Impl;
+  template <typename OptsT> explicit Boxed(OptsT O) : Impl(std::move(O)) {}
+  bool start() override { return Impl.start(); }
+  void stop() override { Impl.stop(); }
+  uint16_t tcpPort() const override { return Impl.tcpPort(); }
+};
+
+/// The daemon named \p Kind ("acd", "acrouter" or "accached") on the
+/// listeners \p L describes.
+std::unique_ptr<AnyDaemon> makeDaemon(const std::string &Kind,
+                                      const service::ListenOptions &L) {
+  if (Kind == "acd") {
+    service::ServerOptions O;
+    static_cast<service::ListenOptions &>(O) = L;
+    O.Workers = 1;
+    return std::make_unique<Boxed<service::Server>>(O);
+  }
+  if (Kind == "acrouter") {
+    router::RouterOptions O;
+    static_cast<service::ListenOptions &>(O) = L;
+    O.Shards = {"127.0.0.1:1"}; // never dialed: no check is sent
+    O.HealthProbeMs = 60000;
+    return std::make_unique<Boxed<router::Router>>(O);
+  }
+  cache::RemoteCacheServerOptions O;
+  static_cast<service::ListenOptions &>(O) = L;
+  return std::make_unique<Boxed<cache::RemoteCacheServer>>(O);
+}
+
+/// Replies every daemon must send, pinned byte for byte.
+const char *const AuthMismatch =
+    R"({"ok":false,"error":"auth_failed","message":"auth token mismatch"})";
+const char *const AuthRequired = R"({"ok":false,"error":"auth_failed",)"
+                                 R"("message":"auth required before `ping`"})";
+const char *const AuthOk = R"({"ok":true,"op":"auth"})";
+const char *const Malformed = R"({"ok":false,"error":"bad_request",)"
+                              R"("message":"malformed JSON: expected '\"'"})";
+const char *const Pong = R"({"ok":true,"op":"pong"})";
+
+/// Sends \p Frame raw and returns the raw reply ("" when the connection
+/// closed instead).
+std::string replyTo(Socket &S, const std::string &Frame) {
   std::string Raw;
-  EXPECT_FALSE(Sent && S.recvFrame(Raw));
+  if (!S.sendFrame(Frame) || !S.recvFrame(Raw))
+    return "";
+  return Raw;
 }
 
-TEST(TcpAuth, MissingAuthGetsTypedErrorAndClose) {
-  AuthFixture F("right-token");
-  Socket S = F.dial();
+/// A daemon (the test parameter) on a TCP listener requiring `Token`,
+/// plus an optional Unix listener.
+class TcpAuth : public ::testing::TestWithParam<const char *> {
+protected:
+  void boot(const std::string &Token, const std::string &Unix = "") {
+    service::ListenOptions L;
+    L.SocketPath = Unix;
+    L.ListenAddr = "127.0.0.1:0";
+    L.AuthToken = Token;
+    D = makeDaemon(GetParam(), L);
+    ASSERT_TRUE(D->start());
+  }
+  void TearDown() override {
+    if (D)
+      D->stop();
+  }
+
+  Socket dial() { return Socket::connectTcp("127.0.0.1", D->tcpPort()); }
+  std::string addr() { return "127.0.0.1:" + std::to_string(D->tcpPort()); }
+
+  std::unique_ptr<AnyDaemon> D;
+};
+
+/// The daemon hangs up after a failed handshake: either the next send
+/// bounces off the closed socket or its reply never comes.
+void expectClosed(Socket &S) {
+  EXPECT_EQ(replyTo(S, R"({"v":1,"op":"ping"})"), "");
+}
+
+TEST_P(TcpAuth, WrongTokenGetsTypedErrorAndClose) {
+  boot("right-token");
+  Socket S = dial();
   ASSERT_TRUE(S.valid());
-  Json Resp;
-  ASSERT_TRUE(AuthFixture::roundTrip(S, AuthFixture::op("ping"), Resp));
-  EXPECT_FALSE(Resp.get("ok").asBool());
-  EXPECT_EQ(Resp.get("error").asString(), "auth_failed");
-  bool Sent = S.sendFrame(AuthFixture::op("ping").dump());
-  std::string Raw;
-  EXPECT_FALSE(Sent && S.recvFrame(Raw));
+  EXPECT_EQ(replyTo(S, R"({"v":1,"op":"auth","token":"wrong-token"})"),
+            AuthMismatch);
+  expectClosed(S);
 }
 
-TEST(TcpAuth, RightTokenUnlocksTheConnection) {
-  AuthFixture F("right-token");
-  Socket S = F.dial();
+TEST_P(TcpAuth, MissingAuthGetsTypedErrorAndClose) {
+  boot("right-token");
+  Socket S = dial();
   ASSERT_TRUE(S.valid());
-  Json Req = AuthFixture::op("auth");
-  Req.set("token", "right-token");
-  Json Resp;
-  ASSERT_TRUE(AuthFixture::roundTrip(S, Req, Resp));
-  EXPECT_TRUE(Resp.get("ok").asBool());
-  ASSERT_TRUE(AuthFixture::roundTrip(S, AuthFixture::op("ping"), Resp));
-  EXPECT_TRUE(Resp.get("ok").asBool());
-  EXPECT_EQ(Resp.get("op").asString(), "pong");
+  EXPECT_EQ(replyTo(S, R"({"v":1,"op":"ping"})"), AuthRequired);
+  expectClosed(S);
 }
 
-TEST(TcpAuth, ClientHelperSurfacesAuthFailure) {
-  AuthFixture F("right-token");
+TEST_P(TcpAuth, RightTokenUnlocksTheConnection) {
+  boot("right-token");
+  Socket S = dial();
+  ASSERT_TRUE(S.valid());
+  EXPECT_EQ(replyTo(S, R"({"v":1,"op":"auth","token":"right-token"})"),
+            AuthOk);
+  EXPECT_EQ(replyTo(S, R"({"v":1,"op":"ping"})"), Pong);
+}
+
+TEST_P(TcpAuth, ClientHelperSurfacesAuthFailure) {
+  boot("right-token");
   std::string Err;
-  std::string Addr = "127.0.0.1:" + std::to_string(F.Srv.tcpPort());
-  service::Client Bad = service::Client::connectTcp(Addr, "wrong", Err);
+  service::Client Bad = service::Client::connectTcp(addr(), "wrong", Err);
   EXPECT_FALSE(Bad.connected());
   EXPECT_NE(Err.find("auth_failed"), std::string::npos) << Err;
 
-  service::Client Good = service::Client::connectTcp(Addr, "right-token", Err);
+  service::Client Good =
+      service::Client::connectTcp(addr(), "right-token", Err);
   ASSERT_TRUE(Good.connected()) << Err;
   EXPECT_TRUE(Good.ping(Err)) << Err;
 }
 
-TEST(TcpAuth, UnixListenerIsNeverChallenged) {
+TEST_P(TcpAuth, UnixListenerIsNeverChallenged) {
   // Same daemon, both listeners: TCP requires the token, the Unix socket
   // answers without any handshake (filesystem permissions are its auth).
-  std::string Dir = freshDir("unix-open");
-  AuthFixture F("right-token", Dir + "/acd.sock");
-  service::Client C = service::Client::connect(Dir + "/acd.sock");
+  std::string Sock =
+      freshDir(std::string("unix-open-") + GetParam()) + "/d.sock";
+  boot("right-token", Sock);
+  service::Client C = service::Client::connect(Sock);
   ASSERT_TRUE(C.connected());
   std::string Err;
   EXPECT_TRUE(C.ping(Err)) << Err;
 }
 
-TEST(TcpAuth, OpenListenerSkipsHandshake) {
+TEST_P(TcpAuth, OpenListenerSkipsHandshake) {
   // No token configured: TCP connections work without auth frames.
-  AuthFixture F("");
+  boot("");
   std::string Err;
-  std::string Addr = "127.0.0.1:" + std::to_string(F.Srv.tcpPort());
-  service::Client C = service::Client::connectTcp(Addr, "", Err);
+  service::Client C = service::Client::connectTcp(addr(), "", Err);
   ASSERT_TRUE(C.connected()) << Err;
   EXPECT_TRUE(C.ping(Err)) << Err;
 }
+
+TEST_P(TcpAuth, FrameErrorsAndSharedOpsAnswerPinnedBytes) {
+  // One script, one pinned reply per frame, the same on every daemon.
+  boot("right-token");
+  Socket S = dial();
+  ASSERT_TRUE(S.valid());
+  EXPECT_EQ(replyTo(S, R"({"v":1,"op":"auth","token":"right-token"})"),
+            AuthOk);
+  const std::pair<const char *, const char *> Script[] = {
+      {"{not json", Malformed},
+      {R"({"v":2,"op":"ping"})",
+       R"({"ok":false,"error":"bad_request",)"
+       R"("message":"unsupported protocol version"})"},
+      {R"({"v":1,"op":"frobnicate"})",
+       R"({"ok":false,"error":"bad_request",)"
+       R"("message":"unknown op `frobnicate`"})"},
+      {R"({"v":1,"op":"ping"})", Pong},
+      {R"({"v":1,"op":"drain"})", R"({"ok":true,"draining":true})"},
+  };
+  for (const auto &[Frame, Reply] : Script)
+    EXPECT_EQ(replyTo(S, Frame), Reply) << "frame: " << Frame;
+}
+
+TEST_P(TcpAuth, GarbageFirstFrameOnAuthListenerCloses) {
+  // Unauthenticated peers get exactly one frame, even a malformed one.
+  boot("right-token");
+  Socket S = dial();
+  ASSERT_TRUE(S.valid());
+  EXPECT_EQ(replyTo(S, "{x"), Malformed);
+  expectClosed(S);
+}
+
+TEST_P(TcpAuth, FailedStartLeavesNoSocketFile) {
+  // The Unix listener binds, the TCP address is unusable: start() fails
+  // and must not leave the socket file behind.
+  std::string Sock =
+      freshDir(std::string("failed-start-") + GetParam()) + "/d.sock";
+  service::ListenOptions L;
+  L.SocketPath = Sock;
+  L.ListenAddr = "bogus";
+  std::unique_ptr<AnyDaemon> Failed = makeDaemon(GetParam(), L);
+  EXPECT_FALSE(Failed->start());
+  EXPECT_FALSE(std::filesystem::exists(Sock));
+}
+
+INSTANTIATE_TEST_SUITE_P(EveryDaemon, TcpAuth,
+                         ::testing::Values("acd", "acrouter", "accached"),
+                         [](const ::testing::TestParamInfo<const char *> &I) {
+                           return std::string(I.param);
+                         });
 
 TEST(ReadTokenFile, FirstLineStripped) {
   std::string Dir = freshDir("token");

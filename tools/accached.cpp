@@ -13,12 +13,10 @@
 //===----------------------------------------------------------------------===//
 
 #include "cache/RemoteCache.h"
-#include "service/Protocol.h"
+#include "daemon_main.h"
 #include "support/Log.h"
 
-#include <csignal>
 #include <cstdio>
-#include <cstring>
 #include <string>
 
 using namespace ac::cache;
@@ -46,68 +44,19 @@ void usage(const char *Argv0) {
 int main(int argc, char **argv) {
   RemoteCacheServerOptions Opts;
 
-  for (int I = 1; I < argc; ++I) {
-    std::string Arg = argv[I];
-    auto Next = [&]() -> const char * {
-      return I + 1 < argc ? argv[++I] : nullptr;
-    };
-    if (Arg == "--socket") {
-      const char *V = Next();
-      if (!V) {
-        usage(argv[0]);
-        return 2;
-      }
-      Opts.SocketPath = V;
-    } else if (Arg == "--listen") {
-      const char *V = Next();
-      if (!V) {
-        usage(argv[0]);
-        return 2;
-      }
-      Opts.ListenAddr = V;
-    } else if (Arg == "--auth-token-file") {
-      const char *V = Next();
-      if (!V || !ac::service::readTokenFile(V, Opts.AuthToken)) {
-        std::fprintf(stderr, "accached: cannot read auth token file\n");
-        return 2;
-      }
-    } else if (Arg == "--trace") {
-      Opts.TraceLive = true;
-    } else if (Arg == "--log-file") {
-      const char *V = Next();
-      if (!V || !ac::support::Log::setFile(V)) {
-        std::fprintf(stderr, "accached: cannot open log file\n");
-        return 2;
-      }
-    } else if (Arg == "--log-level") {
-      const char *V = Next();
-      ac::support::LogLevel Lv;
-      if (!V || !ac::support::Log::parseLevel(V, Lv)) {
-        usage(argv[0]);
-        return 2;
-      }
-      ac::support::Log::setLevel(Lv);
-    } else if (Arg == "--help" || Arg == "-h") {
-      usage(argv[0]);
-      return 0;
-    } else {
-      std::fprintf(stderr, "accached: bad argument `%s`\n", Arg.c_str());
-      usage(argv[0]);
-      return 2;
-    }
-  }
+  int RC = ac::tools::DaemonFlags("accached", usage, argc, argv)
+               .parse(Opts, [](const std::string &) {
+                 return ac::tools::Flag::Unknown;
+               });
+  if (RC >= 0)
+    return RC;
 
   if (Opts.SocketPath.empty() && Opts.ListenAddr.empty()) {
     std::fprintf(stderr, "accached: need --socket or --listen\n");
     return 2;
   }
 
-  sigset_t Sigs;
-  sigemptyset(&Sigs);
-  sigaddset(&Sigs, SIGTERM);
-  sigaddset(&Sigs, SIGINT);
-  pthread_sigmask(SIG_BLOCK, &Sigs, nullptr);
-
+  ac::tools::ShutdownSignals Signals;
   RemoteCacheServer Srv(Opts);
   if (!Srv.start()) {
     std::fprintf(stderr, "accached: cannot listen\n");
@@ -122,12 +71,7 @@ int main(int argc, char **argv) {
   ac::support::Log::info("cached.started", {{"socket", Opts.SocketPath},
                                             {"listen", Opts.ListenAddr}});
 
-  timespec Tick{0, 200 * 1000 * 1000};
-  while (!Srv.draining()) {
-    int Sig = sigtimedwait(&Sigs, nullptr, &Tick);
-    if (Sig == SIGTERM || Sig == SIGINT)
-      break;
-  }
+  Signals.wait(Srv);
 
   std::printf("accached: draining\n");
   std::fflush(stdout);

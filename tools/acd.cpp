@@ -14,14 +14,11 @@
 //===----------------------------------------------------------------------===//
 
 #include "cache/RemoteCache.h"
+#include "daemon_main.h"
 #include "service/Server.h"
 #include "support/Log.h"
 
-#include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <ctime>
 #include <memory>
 #include <string>
 
@@ -70,15 +67,6 @@ void usage(const char *Argv0) {
       Argv0);
 }
 
-bool parseUnsigned(const char *S, unsigned &Out) {
-  char *End = nullptr;
-  unsigned long V = std::strtoul(S, &End, 10);
-  if (!End || *End || V > 1u << 20)
-    return false;
-  Out = static_cast<unsigned>(V);
-  return true;
-}
-
 } // namespace
 
 int main(int argc, char **argv) {
@@ -87,125 +75,40 @@ int main(int argc, char **argv) {
   std::string RemoteAddr;
   std::string RemoteToken;
 
-  for (int I = 1; I < argc; ++I) {
-    std::string Arg = argv[I];
-    auto Next = [&]() -> const char * {
-      return I + 1 < argc ? argv[++I] : nullptr;
-    };
-    unsigned N = 0;
-    if (Arg == "--socket") {
-      const char *V = Next();
-      if (!V) {
-        usage(argv[0]);
-        return 2;
-      }
-      Opts.SocketPath = std::strcmp(V, "none") == 0 ? "" : V;
-    } else if (Arg == "--listen") {
-      const char *V = Next();
-      if (!V) {
-        usage(argv[0]);
-        return 2;
-      }
-      Opts.ListenAddr = V;
-    } else if (Arg == "--auth-token-file") {
-      const char *V = Next();
-      if (!V || !readTokenFile(V, Opts.AuthToken)) {
-        std::fprintf(stderr, "acd: cannot read auth token file\n");
-        return 2;
-      }
-    } else if (Arg == "--shard-id") {
-      const char *V = Next();
-      if (!V) {
-        usage(argv[0]);
-        return 2;
-      }
-      Opts.ShardId = V;
-    } else if (Arg == "--remote-cache") {
-      const char *V = Next();
-      if (!V) {
-        usage(argv[0]);
-        return 2;
-      }
-      RemoteAddr = V;
-    } else if (Arg == "--remote-token-file") {
-      const char *V = Next();
-      if (!V || !readTokenFile(V, RemoteToken)) {
-        std::fprintf(stderr, "acd: cannot read remote token file\n");
-        return 2;
-      }
-    } else if (Arg == "--workers" && Next() && parseUnsigned(argv[I], N)) {
-      Opts.Workers = N;
-    } else if (Arg == "--queue" && Next() && parseUnsigned(argv[I], N)) {
-      Opts.QueueCapacity = N;
-    } else if (Arg == "--jobs" && Next() && parseUnsigned(argv[I], N)) {
-      Opts.Jobs = N;
-    } else if (Arg == "--cache-dir") {
-      const char *V = Next();
-      if (!V) {
-        usage(argv[0]);
-        return 2;
-      }
-      Opts.CacheDir = V;
-    } else if (Arg == "--retry-after-ms" && Next() &&
-               parseUnsigned(argv[I], N)) {
-      Opts.RetryAfterMs = N;
-    } else if (Arg == "--tenant-quota-rps" && Next() &&
-               parseUnsigned(argv[I], N)) {
-      Opts.TenantQuotaRps = N;
-    } else if (Arg == "--tenant-quota-burst" && Next() &&
-               parseUnsigned(argv[I], N)) {
-      Opts.TenantQuotaBurst = N;
-    } else if (Arg == "--shed-min-samples" && Next() &&
-               parseUnsigned(argv[I], N)) {
-      Opts.ShedMinSamples = N;
-    } else if (Arg == "--trace-dir") {
-      const char *V = Next();
-      if (!V) {
-        usage(argv[0]);
-        return 2;
-      }
-      Opts.TraceDir = V;
-    } else if (Arg == "--trace") {
-      Opts.TraceLive = true;
-    } else if (Arg == "--cert-dir") {
-      const char *V = Next();
-      if (!V) {
-        usage(argv[0]);
-        return 2;
-      }
-      Opts.CertDir = V;
-    } else if (Arg == "--log-file") {
-      const char *V = Next();
-      if (!V || !ac::support::Log::setFile(V)) {
-        std::fprintf(stderr, "acd: cannot open log file\n");
-        return 2;
-      }
-    } else if (Arg == "--log-level") {
-      const char *V = Next();
-      ac::support::LogLevel Lv;
-      if (!V || !ac::support::Log::parseLevel(V, Lv)) {
-        usage(argv[0]);
-        return 2;
-      }
-      ac::support::Log::setLevel(Lv);
-    } else if (Arg == "--help" || Arg == "-h") {
-      usage(argv[0]);
-      return 0;
-    } else {
-      std::fprintf(stderr, "acd: bad argument `%s`\n", Arg.c_str());
-      usage(argv[0]);
-      return 2;
-    }
-  }
-
-  // Block the shutdown signals in every thread the server will spawn;
-  // the main thread collects them below with sigtimedwait, so a SIGTERM
-  // turns into a drain instead of killing mid-request.
-  sigset_t Sigs;
-  sigemptyset(&Sigs);
-  sigaddset(&Sigs, SIGTERM);
-  sigaddset(&Sigs, SIGINT);
-  pthread_sigmask(SIG_BLOCK, &Sigs, nullptr);
+  ac::tools::DaemonFlags Flags("acd", usage, argc, argv);
+  int RC = Flags.parse(Opts, [&](const std::string &Arg) {
+    if (Arg == "--shard-id")
+      return Flags.str(Opts.ShardId);
+    if (Arg == "--remote-cache")
+      return Flags.str(RemoteAddr);
+    if (Arg == "--remote-token-file")
+      return Flags.token(RemoteToken, "remote");
+    if (Arg == "--workers")
+      return Flags.num(Opts.Workers);
+    if (Arg == "--queue")
+      return Flags.num(Opts.QueueCapacity);
+    if (Arg == "--jobs")
+      return Flags.num(Opts.Jobs);
+    if (Arg == "--cache-dir")
+      return Flags.str(Opts.CacheDir);
+    if (Arg == "--retry-after-ms")
+      return Flags.num(Opts.RetryAfterMs);
+    if (Arg == "--tenant-quota-rps")
+      return Flags.num(Opts.TenantQuotaRps);
+    if (Arg == "--tenant-quota-burst")
+      return Flags.num(Opts.TenantQuotaBurst);
+    if (Arg == "--shed-min-samples")
+      return Flags.num(Opts.ShedMinSamples);
+    if (Arg == "--trace-dir")
+      return Flags.str(Opts.TraceDir);
+    if (Arg == "--cert-dir")
+      return Flags.str(Opts.CertDir);
+    return ac::tools::Flag::Unknown;
+  });
+  if (RC >= 0)
+    return RC;
+  if (Opts.SocketPath == "none")
+    Opts.SocketPath.clear(); // TCP-only shard
 
   // The remote cache tier is wired before the server starts so every
   // cacheFor() slot sees it from the first request.
@@ -215,6 +118,9 @@ int main(int argc, char **argv) {
     Opts.Remote = Remote.get();
   }
 
+  // Blocked before the server spawns its threads, so a SIGTERM turns into
+  // a drain instead of killing mid-request.
+  ac::tools::ShutdownSignals Signals;
   Server Srv(Opts);
   if (!Srv.start()) {
     std::fprintf(stderr, "acd: cannot listen on %s\n",
@@ -239,13 +145,7 @@ int main(int argc, char **argv) {
        {"workers", Srv.options().Workers},
        {"queue", static_cast<uint64_t>(Srv.options().QueueCapacity)}});
 
-  // Wait for SIGTERM/SIGINT or a protocol-level drain request.
-  timespec Tick{0, 200 * 1000 * 1000};
-  while (!Srv.draining()) {
-    int Sig = sigtimedwait(&Sigs, nullptr, &Tick);
-    if (Sig == SIGTERM || Sig == SIGINT)
-      break;
-  }
+  Signals.wait(Srv);
 
   std::printf("acd: draining (finishing in-flight work)\n");
   std::fflush(stdout);

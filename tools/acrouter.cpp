@@ -11,13 +11,11 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "daemon_main.h"
 #include "router/Router.h"
 #include "support/Log.h"
 
-#include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
 using namespace ac::router;
@@ -59,117 +57,48 @@ void usage(const char *Argv0) {
       Argv0);
 }
 
-bool parseUnsigned(const char *S, unsigned &Out) {
-  char *End = nullptr;
-  unsigned long V = std::strtoul(S, &End, 10);
-  if (!End || *End || V > 1u << 20)
-    return false;
-  Out = static_cast<unsigned>(V);
-  return true;
-}
-
 } // namespace
 
 int main(int argc, char **argv) {
   RouterOptions Opts;
 
-  for (int I = 1; I < argc; ++I) {
-    std::string Arg = argv[I];
-    auto Next = [&]() -> const char * {
-      return I + 1 < argc ? argv[++I] : nullptr;
-    };
-    unsigned N = 0;
+  ac::tools::DaemonFlags Flags("acrouter", usage, argc, argv);
+  int RC = Flags.parse(Opts, [&](const std::string &Arg) {
     if (Arg == "--shard") {
-      const char *V = Next();
-      if (!V) {
-        usage(argv[0]);
-        return 2;
-      }
-      Opts.Shards.push_back(V);
-    } else if (Arg == "--socket") {
-      const char *V = Next();
-      if (!V) {
-        usage(argv[0]);
-        return 2;
-      }
-      Opts.SocketPath = V;
-    } else if (Arg == "--listen") {
-      const char *V = Next();
-      if (!V) {
-        usage(argv[0]);
-        return 2;
-      }
-      Opts.ListenAddr = V;
-    } else if (Arg == "--auth-token-file") {
-      const char *V = Next();
-      if (!V || !ac::service::readTokenFile(V, Opts.AuthToken)) {
-        std::fprintf(stderr, "acrouter: cannot read auth token file\n");
-        return 2;
-      }
-    } else if (Arg == "--shard-token-file") {
-      const char *V = Next();
-      if (!V || !ac::service::readTokenFile(V, Opts.ShardToken)) {
-        std::fprintf(stderr, "acrouter: cannot read shard token file\n");
-        return 2;
-      }
-    } else if (Arg == "--virtual-nodes" && Next() && parseUnsigned(argv[I], N) &&
-               N > 0) {
-      Opts.VirtualNodes = N;
-    } else if (Arg == "--window" && Next() && parseUnsigned(argv[I], N) &&
-               N > 0) {
-      Opts.MaxInFlightPerShard = N;
-    } else if (Arg == "--retry-after-ms" && Next() &&
-               parseUnsigned(argv[I], N)) {
-      Opts.RetryAfterMs = N;
-    } else if (Arg == "--probe-ms" && Next() && parseUnsigned(argv[I], N) &&
-               N > 0) {
-      Opts.HealthProbeMs = N;
-    } else if (Arg == "--no-local-fallback") {
-      Opts.LocalFallback = false;
-    } else if (Arg == "--breaker-fails" && Next() &&
-               parseUnsigned(argv[I], N) && N > 0) {
-      Opts.BreakerThreshold = N;
-    } else if (Arg == "--breaker-cooldown-ms" && Next() &&
-               parseUnsigned(argv[I], N)) {
-      Opts.BreakerCooldownMs = N;
-    } else if (Arg == "--retry-budget-pct" && Next() &&
-               parseUnsigned(argv[I], N)) {
-      Opts.RetryBudgetPct = N;
-    } else if (Arg == "--hedge-pct" && Next() && parseUnsigned(argv[I], N) &&
-               N <= 100) {
-      Opts.HedgeBudgetPct = N;
-    } else if (Arg == "--cache") {
-      const char *V = Next();
-      if (!V) {
-        usage(argv[0]);
-        return 2;
-      }
-      Opts.CacheAddr = V;
-    } else if (Arg == "--trace") {
-      Opts.TraceLive = true;
-    } else if (Arg == "--log-file") {
-      const char *V = Next();
-      if (!V || !ac::support::Log::setFile(V)) {
-        std::fprintf(stderr, "acrouter: cannot open log file\n");
-        return 2;
-      }
-    } else if (Arg == "--log-level") {
-      const char *V = Next();
-      ac::support::LogLevel Lv;
-      if (!V || !ac::support::Log::parseLevel(V, Lv)) {
-        usage(argv[0]);
-        return 2;
-      }
-      ac::support::Log::setLevel(Lv);
-    } else if (Arg == "--help" || Arg == "-h") {
-      usage(argv[0]);
-      return 0;
-    } else {
-      std::fprintf(stderr, "acrouter: bad argument `%s`\n", Arg.c_str());
-      usage(argv[0]);
-      return 2;
+      std::string Addr;
+      ac::tools::Flag F = Flags.str(Addr);
+      if (F == ac::tools::Flag::Taken)
+        Opts.Shards.push_back(Addr);
+      return F;
     }
-  }
+    if (Arg == "--shard-token-file")
+      return Flags.token(Opts.ShardToken, "shard");
+    if (Arg == "--virtual-nodes")
+      return Flags.num(Opts.VirtualNodes, 1);
+    if (Arg == "--window")
+      return Flags.num(Opts.MaxInFlightPerShard, 1);
+    if (Arg == "--retry-after-ms")
+      return Flags.num(Opts.RetryAfterMs);
+    if (Arg == "--probe-ms")
+      return Flags.num(Opts.HealthProbeMs, 1);
+    if (Arg == "--no-local-fallback") {
+      Opts.LocalFallback = false;
+      return ac::tools::Flag::Taken;
+    }
+    if (Arg == "--breaker-fails")
+      return Flags.num(Opts.BreakerThreshold, 1);
+    if (Arg == "--breaker-cooldown-ms")
+      return Flags.num(Opts.BreakerCooldownMs);
+    if (Arg == "--retry-budget-pct")
+      return Flags.num(Opts.RetryBudgetPct);
+    if (Arg == "--hedge-pct")
+      return Flags.num(Opts.HedgeBudgetPct, 0, 100);
+    if (Arg == "--cache")
+      return Flags.str(Opts.CacheAddr);
+    return ac::tools::Flag::Unknown;
+  });
+  if (RC >= 0)
+    return RC;
 
   if (Opts.Shards.empty()) {
     std::fprintf(stderr, "acrouter: need at least one --shard\n");
@@ -181,12 +110,7 @@ int main(int argc, char **argv) {
     return 2;
   }
 
-  sigset_t Sigs;
-  sigemptyset(&Sigs);
-  sigaddset(&Sigs, SIGTERM);
-  sigaddset(&Sigs, SIGINT);
-  pthread_sigmask(SIG_BLOCK, &Sigs, nullptr);
-
+  ac::tools::ShutdownSignals Signals;
   Router R(Opts);
   if (!R.start()) {
     std::fprintf(stderr, "acrouter: cannot listen\n");
@@ -204,12 +128,7 @@ int main(int argc, char **argv) {
       {{"listen", Opts.ListenAddr},
        {"shards", static_cast<uint64_t>(Opts.Shards.size())}});
 
-  timespec Tick{0, 200 * 1000 * 1000};
-  while (!R.draining()) {
-    int Sig = sigtimedwait(&Sigs, nullptr, &Tick);
-    if (Sig == SIGTERM || Sig == SIGINT)
-      break;
-  }
+  Signals.wait(R);
 
   std::printf("acrouter: draining (finishing in-flight forwards)\n");
   std::fflush(stdout);
