@@ -110,7 +110,7 @@ bool shouldFallBack(const CheckResponse &Resp) {
   case ErrorCode::AuthFailed: // wrong token is a config error; a local
                               // run would mask it and it won't heal
   case ErrorCode::Shed:       // overload policy refused the work; doing
-                              // it locally would bypass quotas/shedding
+                              // it locally would bypass shedding
     return false;
   }
   return false;

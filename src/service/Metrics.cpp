@@ -198,7 +198,6 @@ ServiceMetrics::snapshot(size_t QueueDepth, size_t QueueCapacity,
   S.DeadlineExceeded = DeadlineExceeded.load();
   S.Rejected = Rejected.load();
   S.Shed = Shed.load();
-  S.QuotaRejected = QuotaRejected.load();
   {
     std::lock_guard<std::mutex> L(TenantM);
     for (const auto &[Name, C] : Tenants)
@@ -250,7 +249,6 @@ Json ServiceMetrics::Snapshot::toJson() const {
   R.set("rejected", Rejected);
   R.set("auth_failed", AuthFailed);
   R.set("shed", Shed);
-  R.set("quota_rejected", QuotaRejected);
   R.set("in_flight_peak", InFlightPeak);
   J.set("requests", std::move(R));
 
@@ -351,11 +349,8 @@ ServiceMetrics::Snapshot::toPrometheus(const std::string &ShardId,
         "TCP connections dropped for a wrong or missing auth token.",
         "counter", AuthFailed);
   E.u64("acd_requests_shed_total",
-        "Requests refused by load shedding (stale bulk or tenant quota).",
-        "counter", Shed);
-  E.u64("acd_requests_quota_rejected_total",
-        "The tenant-quota subset of shed requests.", "counter",
-        QuotaRejected);
+        "Requests refused by load shedding (stale bulk).", "counter",
+        Shed);
 
   if (!Tenants.empty()) {
     emitHeader(O, "acd_tenant_admitted_total",
@@ -370,7 +365,7 @@ ServiceMetrics::Snapshot::toPrometheus(const std::string &ShardId,
       O += Buf;
     }
     emitHeader(O, "acd_tenant_shed_total",
-               "Shed (quota or staleness) check requests per tenant.",
+               "Shed (stale bulk) check requests per tenant.",
                "counter");
     for (const TenantStat &T : Tenants) {
       std::snprintf(

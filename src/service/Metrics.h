@@ -57,11 +57,9 @@ struct ServiceMetrics {
   std::atomic<uint64_t> DeadlineExceeded{0};
   std::atomic<uint64_t> Rejected{0};
   /// Load-shed refusals: bulk requests whose remaining deadline budget
-  /// could not cover the observed p99 service time, plus per-tenant
-  /// quota refusals. Like Rejected, shed requests never enter the queue.
+  /// could not cover the observed p99 service time. Like Rejected, shed
+  /// requests never enter the queue.
   std::atomic<uint64_t> Shed{0};
-  /// The quota-refusal subset of Shed.
-  std::atomic<uint64_t> QuotaRejected{0};
 
   /// High-water mark of concurrently running check requests over the
   /// process lifetime; tells whether the configured worker count is
@@ -138,7 +136,7 @@ struct ServiceMetrics {
   /// a fixed atomic set; the anonymous tenant ("") is not tracked.
   struct TenantCounters {
     uint64_t Admitted = 0; ///< entered the queue
-    uint64_t Shed = 0;     ///< refused by quota or staleness shedding
+    uint64_t Shed = 0;     ///< refused by staleness shedding
   };
   mutable std::mutex TenantM;
   std::map<std::string, TenantCounters> Tenants;
@@ -188,8 +186,7 @@ struct ServiceMetrics {
     uint64_t QueueDepth = 0, QueueCapacity = 0;
     uint64_t InFlight = 0, InFlightPeak = 0;
     uint64_t Received = 0, Completed = 0, Failed = 0, Cancelled = 0,
-             DeadlineExceeded = 0, Rejected = 0, AuthFailed = 0, Shed = 0,
-             QuotaRejected = 0;
+             DeadlineExceeded = 0, Rejected = 0, AuthFailed = 0, Shed = 0;
     /// Per-tenant counters, sorted by tenant name for render stability.
     struct TenantStat {
       std::string Name;

@@ -47,11 +47,9 @@ enum class ErrorCode {
   /// TCP connection presented a wrong or missing auth token. The daemon
   /// answers this and closes the connection; never retried.
   AuthFailed,
-  /// Load shedding: the daemon (or router) decided the request could not
-  /// complete within its remaining deadline budget — or a tenant quota
-  /// refused it — and answered immediately instead of letting it time
-  /// out in queue. Only bulk-priority work is shed for staleness; quota
-  /// sheds carry `retry_after_ms` like `busy`.
+  /// Load shedding: the daemon decided a bulk request could not complete
+  /// within its deadline budget and answered immediately instead of
+  /// letting it time out in queue. Interactive work is never shed.
   Shed,
 };
 
@@ -110,8 +108,8 @@ struct CheckRequest {
   /// Admission class. Interactive (the default) dequeues before bulk;
   /// bulk is eligible for staleness shedding when the queue is saturated.
   Priority Prio = Priority::Interactive;
-  /// Accounting principal for per-tenant admission quotas; "" is the
-  /// anonymous tenant (always admitted when a slot exists).
+  /// Accounting label for the per-tenant admitted/shed ledger; "" is
+  /// the anonymous tenant (not tracked). Never changes admission.
   std::string Tenant;
 
   support::Json toJson() const;

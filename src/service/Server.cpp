@@ -28,13 +28,10 @@ double secondsBetween(std::chrono::steady_clock::time_point A,
 
 } // namespace
 
-// Overload decision points, armed by the chaos drivers so each shed
-// path is deterministically reachable: shed.stale forces the staleness
-// verdict for an eligible request (bulk with a deadline), quota.reject
-// forces the quota refusal for a request naming a tenant.
+// Overload decision point, armed by the chaos driver so the shed path
+// is deterministically reachable: forces the staleness verdict for an
+// eligible request (bulk with a deadline).
 static const ac::support::FaultSite FaultShedStale("server.shed.stale");
-static const ac::support::FaultSite
-    FaultQuotaReject("server.quota.reject");
 
 /// One admitted check request, shared between the queue, the worker that
 /// runs it, the watchdog that enforces its deadline, and the connection
@@ -214,8 +211,7 @@ void Server::handleCheck(const FrameServer::ConnRef &C, const Json &J) {
   // A shed answer refuses the request before it enters the queue, like
   // reject, but with its own typed code and counters so overload
   // behaviour is observable separately from capacity backpressure.
-  auto shed = [&](const char *Reason, const std::string &Msg,
-                  unsigned RetryMs) {
+  auto shed = [&](const char *Reason, const std::string &Msg) {
     Metrics.Shed.fetch_add(1);
     Metrics.noteTenantShed(R->Req.Tenant);
     support::Log::warn("request.shed",
@@ -223,7 +219,7 @@ void Server::handleCheck(const FrameServer::ConnRef &C, const Json &J) {
                         {"tenant", R->Req.Tenant},
                         {"priority", priorityName(R->Req.Prio)},
                         {"reason", Reason}});
-    CheckResponse Resp = CheckResponse::error(ErrorCode::Shed, Msg, RetryMs);
+    CheckResponse Resp = CheckResponse::error(ErrorCode::Shed, Msg);
     Resp.TraceId = R->Req.TraceId;
     C->send(Resp.toJson());
   };
@@ -232,34 +228,6 @@ void Server::handleCheck(const FrameServer::ConnRef &C, const Json &J) {
     if (Frames.draining()) {
       reject(ErrorCode::Draining, "daemon is draining", 0);
       return;
-    }
-    // Per-tenant token bucket. A new tenant starts with a full bucket;
-    // refill is lazy, at admission time, off the admission clock.
-    if (!R->Req.Tenant.empty()) {
-      bool Forced = FaultQuotaReject.fire();
-      if (Opts.TenantQuotaRps || Forced) {
-        double Rate = Opts.TenantQuotaRps ? Opts.TenantQuotaRps : 1.0;
-        double Burst = Opts.TenantQuotaBurst
-                           ? Opts.TenantQuotaBurst
-                           : std::max(1.0, 2.0 * Rate);
-        TenantBucket &B = TenantBuckets[R->Req.Tenant];
-        if (B.Last.time_since_epoch().count() == 0)
-          B.Tokens = Burst;
-        else
-          B.Tokens = std::min(
-              Burst, B.Tokens + secondsBetween(B.Last, R->Admitted) * Rate);
-        B.Last = R->Admitted;
-        if (Forced || B.Tokens < 1.0) {
-          Metrics.QuotaRejected.fetch_add(1);
-          unsigned RetryMs = static_cast<unsigned>(
-              std::max(1.0, (1.0 - std::min(B.Tokens, 1.0)) / Rate * 1e3));
-          shed("tenant quota",
-               "tenant `" + R->Req.Tenant + "` over admission quota",
-               RetryMs);
-          return;
-        }
-        B.Tokens -= 1.0;
-      }
     }
     // Staleness shedding: a bulk request whose whole deadline budget is
     // below the observed p99 service time would only time out in queue;
@@ -274,7 +242,7 @@ void Server::handleCheck(const FrameServer::ConnRef &C, const Json &J) {
           static_cast<double>(R->Req.TimeoutMs) < P99Ms;
       if (Forced || Stale) {
         shed("stale bulk",
-             "deadline budget below observed p99 service time", 0);
+             "deadline budget below observed p99 service time");
         return;
       }
     }

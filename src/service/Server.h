@@ -84,13 +84,6 @@ struct ServerOptions : ListenOptions {
   std::string CacheDir;
   /// The retry hint attached to `busy` rejections.
   unsigned RetryAfterMs = 50;
-  /// Per-tenant token-bucket admission quota, in requests per second;
-  /// 0 disables quotas. Requests naming a tenant consume one token;
-  /// an empty bucket answers `shed` with a refill hint.
-  unsigned TenantQuotaRps = 0;
-  /// Token-bucket burst capacity per tenant; 0 = 2x TenantQuotaRps
-  /// (minimum 1).
-  unsigned TenantQuotaBurst = 0;
   /// Staleness shedding needs this many completed-request samples
   /// before it trusts the observed p99 service time; a cold daemon
   /// never sheds for staleness.
@@ -194,13 +187,6 @@ private:
   /// always precede bulk ones (insertion keeps the partition), so
   /// pop_front serves interactive first and FIFO within each class.
   std::deque<std::shared_ptr<Request>> Queue;
-  /// Per-tenant token buckets (guarded by QueueM; refilled lazily at
-  /// admission time).
-  struct TenantBucket {
-    double Tokens = 0;
-    std::chrono::steady_clock::time_point Last;
-  };
-  std::map<std::string, TenantBucket> TenantBuckets;
   /// In-flight requests, registered by workers for the watchdog's
   /// deadline scan. Guarded by QueueM.
   std::vector<std::shared_ptr<Request>> Active;

@@ -1314,49 +1314,8 @@ TEST_F(ServiceTest, FailedRequestsEmitStructuredLogLines) {
 }
 
 //===----------------------------------------------------------------------===//
-// Overload: per-tenant quotas, priority classes, staleness shedding
+// Overload: priority classes, staleness shedding, the tenant ledger
 //===----------------------------------------------------------------------===//
-
-TEST_F(ServiceTest, TenantOverQuotaIsShedWithRefillHint) {
-  ServerOptions O = baseOpts();
-  O.TenantQuotaRps = 1;
-  O.TenantQuotaBurst = 1; // one admission, then the bucket is dry
-  Server Srv(O);
-  ASSERT_TRUE(Srv.start());
-  Client C = Client::connect(SockPath);
-  ASSERT_TRUE(C.connected());
-
-  CheckRequest Req;
-  Req.Source = "unsigned int q(unsigned int x) { return x + 1u; }\n";
-  Req.Tenant = "greedy";
-  CheckResponse First, Second;
-  std::string Err;
-  ASSERT_TRUE(C.check(Req, First, Err)) << Err;
-  ASSERT_TRUE(First.Ok) << First.Message;
-  ASSERT_TRUE(C.check(Req, Second, Err)) << Err;
-  EXPECT_FALSE(Second.Ok);
-  EXPECT_EQ(Second.Err, ErrorCode::Shed);
-  EXPECT_GE(Second.RetryAfterMs, 1u)
-      << "a quota shed must tell the tenant when its bucket refills";
-
-  // An unnamed-tenant request is never quota-checked.
-  CheckRequest Anon = Req;
-  Anon.Tenant.clear();
-  CheckResponse Third;
-  ASSERT_TRUE(C.check(Anon, Third, Err)) << Err;
-  EXPECT_TRUE(Third.Ok) << Third.Message;
-
-  EXPECT_EQ(Srv.metrics().Shed.load(), 1u);
-  EXPECT_EQ(Srv.metrics().QuotaRejected.load(), 1u);
-  EXPECT_EQ(Srv.metrics().Received.load(), 2u)
-      << "shed requests never count as received";
-  auto Snap = Srv.metrics().snapshot(0, 0, 0, 1, 0, false);
-  ASSERT_EQ(Snap.Tenants.size(), 1u);
-  EXPECT_EQ(Snap.Tenants[0].Name, "greedy");
-  EXPECT_EQ(Snap.Tenants[0].Admitted, 1u);
-  EXPECT_EQ(Snap.Tenants[0].Shed, 1u);
-  Srv.stop();
-}
 
 TEST_F(ServiceTest, StaleBulkIsShedInteractiveIsNot) {
   ServerOptions O = baseOpts();
@@ -1376,14 +1335,16 @@ TEST_F(ServiceTest, StaleBulkIsShedInteractiveIsNot) {
   ASSERT_TRUE(Resp.Ok) << Resp.Message;
 
   // A bulk request whose whole deadline is below that p99 would only
-  // expire in queue: it is refused up front.
+  // expire in queue: it is refused up front, with no retry hint.
   CheckRequest Stale = Warm;
   Stale.DebugDelayMs = 0;
   Stale.Prio = Priority::Bulk;
   Stale.TimeoutMs = 10;
+  Stale.Tenant = "batch";
   ASSERT_TRUE(C.check(Stale, Resp, Err)) << Err;
   EXPECT_FALSE(Resp.Ok);
   EXPECT_EQ(Resp.Err, ErrorCode::Shed);
+  EXPECT_EQ(Resp.RetryAfterMs, 0u);
 
   // The same hopeless deadline on interactive work is still admitted
   // (and may well run to deadline_exceeded — that is the client's
@@ -1399,5 +1360,15 @@ TEST_F(ServiceTest, StaleBulkIsShedInteractiveIsNot) {
   ASSERT_TRUE(C.check(Fine, Resp, Err)) << Err;
   EXPECT_TRUE(Resp.Ok) << Resp.Message;
   EXPECT_EQ(Srv.metrics().Shed.load(), 1u);
+  EXPECT_EQ(Srv.metrics().Received.load(), 3u)
+      << "shed requests never count as received";
+
+  // The tenant's ledger saw the shed and both admissions; the
+  // anonymous warm-up request is not tracked.
+  auto Snap = Srv.metrics().snapshot(0, 0, 0, 1, 0, false);
+  ASSERT_EQ(Snap.Tenants.size(), 1u);
+  EXPECT_EQ(Snap.Tenants[0].Name, "batch");
+  EXPECT_EQ(Snap.Tenants[0].Admitted, 2u);
+  EXPECT_EQ(Snap.Tenants[0].Shed, 1u);
   Srv.stop();
 }

@@ -64,7 +64,8 @@ void usage(const char *Argv0) {
       "  --timeout-ms N    per-request deadline enforced by the daemon\n"
       "  --priority P      interactive|bulk admission class (default:\n"
       "                    interactive; bulk is shed first on overload)\n"
-      "  --tenant NAME     tenant label for per-tenant admission quotas\n"
+      "  --tenant NAME     tenant label for the daemon's per-tenant\n"
+      "                    admitted/shed ledger\n"
       "  --debug-delay-ms N  ask the daemon to hold the request (tests)\n"
       "  --no-fallback     fail instead of degrading to an in-process\n"
       "                    run when the daemon cannot serve the check\n"
