@@ -4,7 +4,6 @@
 
 #include "core/AutoCorres.h"
 #include "core/ResultCache.h"
-#include "service/Client.h"
 #include "support/Diagnostics.h"
 #include "support/Log.h"
 #include "support/ThreadPool.h"
@@ -118,20 +117,22 @@ bool shouldFallBack(const CheckResponse &Resp) {
 
 } // namespace
 
-CheckResponse ac::service::checkWithFallback(const std::string &SocketPath,
+CheckResponse ac::service::checkWithFallback(const Endpoint &E,
                                              const CheckRequest &Req,
                                              bool &UsedFallback,
                                              std::string &Note) {
   UsedFallback = false;
   Note.clear();
 
-  std::string Why;
-  Client C = Client::connect(SocketPath);
+  std::string Why, Err;
+  Client C = E.dial(Err);
   if (!C.connected()) {
-    Why = "daemon unreachable at " + SocketPath;
+    // A refused token is the daemon's typed answer, not an outage.
+    if (Err.rfind(errorCodeName(ErrorCode::AuthFailed), 0) == 0)
+      return CheckResponse::error(ErrorCode::AuthFailed, Err);
+    Why = "daemon unreachable at " + E.name();
   } else {
     CheckResponse Resp;
-    std::string Err;
     if (!C.checkRetry(Req, Resp, Err)) {
       // Transport failure mid-request: the daemon died under us (or a
       // frame was torn). The connection is unusable; run locally.

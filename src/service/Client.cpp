@@ -36,6 +36,11 @@ Client Client::connectTcp(const std::string &HostPort,
   return C;
 }
 
+Client Endpoint::dial(std::string &Err) const {
+  return TcpAddr.empty() ? Client::connect(SocketPath)
+                         : Client::connectTcp(TcpAddr, Token, Err);
+}
+
 bool Client::authenticate(const std::string &Token, std::string &Err) {
   if (Token.empty())
     return true;

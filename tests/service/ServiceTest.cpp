@@ -880,7 +880,8 @@ TEST_F(ServiceTest, FallbackServesIdenticalResultsWithNoDaemon) {
   std::string Note;
   // Nothing listens on SockPath: the check must degrade to an
   // in-process run and still produce exact results.
-  CheckResponse Resp = checkWithFallback(SockPath, Req, UsedFallback, Note);
+  CheckResponse Resp =
+      checkWithFallback(Endpoint{SockPath, "", ""}, Req, UsedFallback, Note);
   EXPECT_TRUE(UsedFallback);
   EXPECT_NE(Note.find("falling back"), std::string::npos) << Note;
   expectMatchesRef(Resp, Ref, "fallback with no daemon");
@@ -899,7 +900,8 @@ TEST_F(ServiceTest, FallbackKicksInWhenTheDaemonMissesTheDeadline) {
   Req.TimeoutMs = 100;    // ...past the deadline
   bool UsedFallback = false;
   std::string Note;
-  CheckResponse Resp = checkWithFallback(SockPath, Req, UsedFallback, Note);
+  CheckResponse Resp =
+      checkWithFallback(Endpoint{SockPath, "", ""}, Req, UsedFallback, Note);
   EXPECT_TRUE(UsedFallback);
   EXPECT_NE(Note.find("deadline"), std::string::npos) << Note;
   // The local run ignores the daemon-side debug delay and serves the
@@ -915,7 +917,8 @@ TEST_F(ServiceTest, FallbackDoesNotMaskRequestErrors) {
   Req.Source = "this is not C;"; // a parse_error, the *request's* fault
   bool UsedFallback = false;
   std::string Note;
-  CheckResponse Resp = checkWithFallback(SockPath, Req, UsedFallback, Note);
+  CheckResponse Resp =
+      checkWithFallback(Endpoint{SockPath, "", ""}, Req, UsedFallback, Note);
   EXPECT_FALSE(UsedFallback)
       << "an error the daemon *diagnosed* must not silently re-run "
          "locally: " << Note;

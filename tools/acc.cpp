@@ -6,14 +6,16 @@
 // of tests/core/GoldenSpecTest.cpp so daemon output can be diffed
 // byte-for-byte against tests/golden/*.expected.
 //
-// Degrades gracefully: when the daemon is unreachable, dies mid-request,
-// or answers `deadline_exceeded`/`busy`/`draining`, the check runs
-// in-process through the same response builder (service/CheckRunner.h),
-// against the same cache directory — the output bytes are identical
-// either way. `--no-fallback` turns this off for scripts that must know
-// the daemon served them.
+// Degrades gracefully: when the daemon or router is unreachable, dies
+// mid-request, or answers `deadline_exceeded`/`busy`/`draining`, the
+// check runs in-process through the same response builder
+// (service/CheckRunner.h), against the same cache directory — the output
+// bytes are identical either way. `--socket` and `--router` go through
+// the one rule, service::checkWithFallback. `--no-fallback` turns this
+// off for scripts that must know the daemon served them.
 //
 //   acc --socket /tmp/acd.sock file.c
+//   acc --router 127.0.0.1:7000 --auth-token-file tok file.c
 //   acc --socket /tmp/acd.sock --corpus swap --golden
 //   acc --socket /tmp/acd.sock --stats
 //
@@ -139,8 +141,7 @@ std::string goldenSnapshot(const CheckResponse &Resp) {
 } // namespace
 
 int main(int argc, char **argv) {
-  std::string SocketPath = "acd.sock";
-  std::string RouterAddr, AuthToken;
+  Endpoint EP{"acd.sock", "", ""};
   std::string File, Corpus, TracePath, CertPath, CertDir;
   bool Golden = false, Stats = false, Ping = false, Drain = false;
   bool NoFallback = false, Metrics = false, RuleProfile = false;
@@ -155,15 +156,15 @@ int main(int argc, char **argv) {
       const char *V = Next();
       if (!V)
         return usage(argv[0]), 2;
-      SocketPath = V;
+      EP.SocketPath = V;
     } else if (Arg == "--router") {
       const char *V = Next();
       if (!V)
         return usage(argv[0]), 2;
-      RouterAddr = V;
+      EP.TcpAddr = V;
     } else if (Arg == "--auth-token-file") {
       const char *V = Next();
-      if (!V || !readTokenFile(V, AuthToken)) {
+      if (!V || !readTokenFile(V, EP.Token)) {
         std::fprintf(stderr, "acc: cannot read auth token file\n");
         return 2;
       }
@@ -275,21 +276,12 @@ int main(int argc, char **argv) {
 
   std::string Err;
 
-  // One dial path for both transports: --router (TCP, optionally
-  // authenticated) or the default Unix daemon socket.
-  const std::string &Endpoint = RouterAddr.empty() ? SocketPath : RouterAddr;
-  auto dial = [&](std::string &DialErr) {
-    return RouterAddr.empty()
-               ? Client::connect(SocketPath)
-               : Client::connectTcp(RouterAddr, AuthToken, DialErr);
-  };
-
   // Admin ops address a specific daemon; there is nothing to degrade to.
   if (Ping || Stats || Metrics || Drain) {
-    Client C = dial(Err);
+    Client C = EP.dial(Err);
     if (!C.connected()) {
       std::fprintf(stderr, "acc: cannot connect to %s (%s)\n",
-                   Endpoint.c_str(),
+                   EP.name().c_str(),
                    Err.empty() ? "is the daemon running?" : Err.c_str());
       return 1;
     }
@@ -370,10 +362,10 @@ int main(int argc, char **argv) {
     Resp = runCheck(Req, Ctx);
     UsedFallback = true;
   } else if (NoFallback) {
-    Client C = dial(Err);
+    Client C = EP.dial(Err);
     if (!C.connected()) {
       std::fprintf(stderr, "acc: cannot connect to %s (%s)\n",
-                   Endpoint.c_str(),
+                   EP.name().c_str(),
                    Err.empty() ? "is the daemon running?" : Err.c_str());
       return 1;
     }
@@ -381,21 +373,9 @@ int main(int argc, char **argv) {
       std::fprintf(stderr, "acc: request failed: %s\n", Err.c_str());
       return 1;
     }
-  } else if (!RouterAddr.empty()) {
-    // Router path with graceful degradation: the router already degrades
-    // shard-by-shard; this covers the router itself being unreachable.
-    Client C = dial(Err);
-    if (C.connected() && C.checkRetry(Req, Resp, Err)) {
-      // served by the fleet
-    } else {
-      Resp = runLocalCheck(Req);
-      UsedFallback = true;
-      std::fprintf(stderr, "acc: router %s unreachable (%s); ran in-process\n",
-                   RouterAddr.c_str(), Err.c_str());
-    }
   } else {
     std::string Note;
-    Resp = checkWithFallback(SocketPath, Req, UsedFallback, Note);
+    Resp = checkWithFallback(EP, Req, UsedFallback, Note);
     if (UsedFallback)
       std::fprintf(stderr, "acc: %s\n", Note.c_str());
   }
