@@ -7,6 +7,7 @@
 #include "support/Diagnostics.h"
 #include "support/Log.h"
 #include "support/ThreadPool.h"
+#include "support/Trace.h"
 
 using namespace ac::service;
 using namespace ac::core;
@@ -36,6 +37,8 @@ CheckResponse ac::service::runCheck(const CheckRequest &Req,
   }
 
   if (AC) {
+    // The response assembly and the release of the run it reads from.
+    AC_SPAN("check.respond");
     Resp.Ok = true;
     const ACStats &St = AC->stats();
     for (const std::string &Name : AC->order()) {
@@ -72,6 +75,7 @@ CheckResponse ac::service::runCheck(const CheckRequest &Req,
     Resp.CertsWritten = St.CertsWritten;
     Resp.CertClaims = St.CertClaims;
     Resp.CertSkipped = St.CertSkipped;
+    AC.reset();
   } else if (Resp.Err == ErrorCode::None) {
     Resp = CheckResponse::error(ErrorCode::ParseError,
                                 "translation failed");

@@ -15,8 +15,14 @@ using ac::support::Json;
 using ac::support::Socket;
 
 bool FrameConn::send(const Json &J) {
+  std::string Frame;
+  {
+    AC_SPAN("frame.encode");
+    Frame = J.dump();
+  }
+  AC_SPAN("frame.write");
   std::lock_guard<std::mutex> L(WriteM);
-  return Sock.sendFrame(J.dump());
+  return Sock.sendFrame(Frame);
 }
 
 FrameServer::FrameServer(const ListenOptions &O, const char *D,

@@ -503,7 +503,12 @@ void Server::runRequest(Request &R) {
     Metrics.CacheMisses.fetch_add(Resp.CacheMisses);
     Metrics.CacheInvalidations.fetch_add(Resp.CacheInvalidations);
   }
-  bool Delivered = R.C->send(Resp.toJson());
+  support::Json Reply;
+  {
+    AC_SPAN("acd.reply");
+    Reply = Resp.toJson();
+  }
+  bool Delivered = R.C->send(Reply);
   double TotalS = secondsBetween(R.Admitted, std::chrono::steady_clock::now());
   if (!Delivered) {
     Metrics.Cancelled.fetch_add(1);

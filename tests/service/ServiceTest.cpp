@@ -1062,7 +1062,8 @@ TEST_F(ServiceTest, PerRequestTraceFilesAreValidChromeJson) {
 TEST_F(ServiceTest, FirstTracedRequestOfAFreshServerHasItsRootSpan) {
   // A fresh acd: nothing in this process collects spans before start().
   // The first request's file must still be rooted at acd.request, with
-  // the queue wait and the pipeline run as its children.
+  // the queue wait, the pipeline run and the reply tail (assembly, the
+  // reply object, the frame's encoding and its write) as its children.
   support::Trace::stop();
   support::Trace::reset();
   ServerOptions O = baseOpts();
@@ -1095,12 +1096,15 @@ TEST_F(ServiceTest, FirstTracedRequestOfAFreshServerHasItsRootSpan) {
     const Json &Args = E.get("args");
     if (Name == "acd.request")
       RootSpan = Args.get("span").asString();
-    if (Name == "acd.queue_wait" || Name == "ac.run")
+    if (Name == "acd.queue_wait" || Name == "ac.run" ||
+        Name == "check.respond" || Name == "acd.reply" ||
+        Name == "frame.encode" || Name == "frame.write")
       ParentOf[Name] = Args.get("parent").asString();
   }
   ASSERT_FALSE(RootSpan.empty()) << "no acd.request span: " << SS.str();
-  EXPECT_EQ(ParentOf["acd.queue_wait"], RootSpan);
-  EXPECT_EQ(ParentOf["ac.run"], RootSpan);
+  for (const char *Child : {"acd.queue_wait", "ac.run", "check.respond",
+                            "acd.reply", "frame.encode", "frame.write"})
+    EXPECT_EQ(ParentOf[Child], RootSpan) << Child;
 }
 
 TEST_F(ServiceTest, MetricsRequestServesPrometheusText) {
