@@ -465,12 +465,21 @@ static TermRef abstractFree(const TermRef &T, const std::string &Name,
     if (T->index() >= Depth)
       return Term::mkBound(T->index() + 1);
     return T;
-  case Term::Kind::Lam:
-    return Term::mkLam(T->name(), T->type(),
-                       abstractFree(T->body(), Name, Depth + 1));
-  case Term::Kind::App:
-    return Term::mkApp(abstractFree(T->fun(), Name, Depth),
-                       abstractFree(T->argTerm(), Name, Depth));
+  case Term::Kind::Lam: {
+    // An unchanged subterm comes back as the node itself: re-interning it
+    // would find the same node.
+    TermRef B = abstractFree(T->body(), Name, Depth + 1);
+    if (B.get() == T->body().get())
+      return T;
+    return Term::mkLam(T->name(), T->type(), std::move(B));
+  }
+  case Term::Kind::App: {
+    TermRef F = abstractFree(T->fun(), Name, Depth);
+    TermRef X = abstractFree(T->argTerm(), Name, Depth);
+    if (F.get() == T->fun().get() && X.get() == T->argTerm().get())
+      return T;
+    return Term::mkApp(std::move(F), std::move(X));
+  }
   default:
     return T;
   }

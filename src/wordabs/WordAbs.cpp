@@ -1833,6 +1833,8 @@ TermRef WordAbstraction::replaceImages(const TermRef &T, const TypeRef &CTy,
       TermRef B = Go(U->body());
       if (!B)
         return nullptr;
+      if (B.get() == U->body().get())
+        return U; // nothing replaced below: the node is its own rebuild
       return Term::mkLam(U->name(), U->type(), B);
     }
     case Term::Kind::App: {
@@ -1840,6 +1842,8 @@ TermRef WordAbstraction::replaceImages(const TermRef &T, const TypeRef &CTy,
       TermRef X = F ? Go(U->argTerm()) : nullptr;
       if (!X)
         return nullptr;
+      if (F.get() == U->fun().get() && X.get() == U->argTerm().get())
+        return U;
       return Term::mkApp(F, X);
     }
     default:

@@ -53,6 +53,27 @@ TEST(Terms, LambdaFreeRoundTrip) {
   EXPECT_TRUE(termEq(Sub, mkPlus(Zero, B)));
 }
 
+TEST(Terms, LambdaFreeKeepsUntouchedSubterms) {
+  // Abstracting a name that does not occur returns the body itself, the
+  // same interned node, under a binder or not.
+  TermRef A = Term::mkFree("a", natTy());
+  TermRef B = Term::mkFree("b", natTy());
+  TermRef T = mkPlus(mkPlus(A, B), mkNumOf(natTy(), 3));
+  EXPECT_EQ(lambdaFree("c", natTy(), T)->body().get(), T.get());
+  TermRef Beta = Term::mkApp(lambdaFree("b", natTy(), mkPlus(B, A)), A);
+  EXPECT_EQ(lambdaFree("c", natTy(), Beta)->body().get(), Beta.get());
+  // Where the name occurs, the subterms without it are kept as they are.
+  TermRef Left = mkPlus(B, B);
+  TermRef L = lambdaFree("a", natTy(), mkPlus(Left, A));
+  EXPECT_NE(L->body().get(), mkPlus(Left, A).get());
+  EXPECT_EQ(L->body()->fun()->argTerm().get(), Left.get());
+  // A loose bound still moves past the new binder.
+  TermRef F = Term::mkFree("f", funTy(natTy(), natTy()));
+  TermRef Loose = Term::mkApp(F, Term::mkBound(0));
+  TermRef LL = lambdaFree("c", natTy(), Loose);
+  EXPECT_EQ(LL->body().get(), Term::mkApp(F, Term::mkBound(1)).get());
+}
+
 TEST(Terms, FreeVars) {
   TermRef A = Term::mkFree("a", natTy());
   TermRef B = Term::mkFree("b", natTy());
