@@ -384,6 +384,9 @@ int main() {
 
     constexpr unsigned FgClients = 8;
     constexpr int FgRequests = 40;
+    // The bound below is 2x the unloaded p99, so that p99 needs samples
+    // beyond it: 8 x 128 puts ten there, where 8 x 40 put three.
+    constexpr int FgUnloadedRequests = 128;
     std::atomic<uint64_t> FgOk{0}, FgShed{0}, FgBusy{0};
     std::atomic<int> OvDiffs{0};
 
@@ -393,8 +396,8 @@ int main() {
       std::vector<std::thread> Ts;
       for (unsigned I = 0; I != FgClients; ++I)
         Ts.emplace_back([&, I] {
-          interactiveClient(I, FgRequests, Lat[I], FgOk, FgShed, FgBusy,
-                            OvDiffs);
+          interactiveClient(I, FgUnloadedRequests, Lat[I], FgOk, FgShed,
+                            FgBusy, OvDiffs);
         });
       for (std::thread &T : Ts)
         T.join();
