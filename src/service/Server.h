@@ -24,12 +24,13 @@
 /// their slot is simply freed — counted as `cancelled`, never leaked as
 /// in-flight.
 ///
-/// Deadlines: a request carrying `timeout_ms` is watched from admission
-/// by a watchdog thread. On expiry the watchdog answers
-/// `deadline_exceeded` exactly once (an atomic Responded flag arbitrates
-/// against the worker), frees a still-queued request's slot immediately,
-/// and flags an in-flight request cancelled so the worker discards its
-/// result instead of sending a second response.
+/// Deadlines: the connection thread that admitted a request carrying
+/// `timeout_ms` waits for its answer only until the deadline. If it
+/// passes first, that thread answers `deadline_exceeded` exactly once (an
+/// atomic Responded flag arbitrates against the worker), frees a
+/// still-queued request's slot immediately, and flags an in-flight
+/// request cancelled so the worker discards its result instead of
+/// sending a second response.
 ///
 /// Shutdown is graceful: beginDrain() (wired to SIGTERM by acd) refuses
 /// new work with `draining`, lets queued + in-flight requests finish,
@@ -151,13 +152,16 @@ private:
   struct Request;
 
   void workerLoop();
-  void watchdogLoop();
 
   void handleCheck(const FrameServer::ConnRef &C, const support::Json &J);
   ServiceMetrics::Snapshot snapshot();
 
   /// Runs the pipeline for one admitted request and sends the response.
   void runRequest(Request &R);
+
+  /// Answers `deadline_exceeded` for \p R unless a response was already
+  /// claimed; true iff this call sent (or tried to send) it.
+  bool answerDeadline(Request &R);
 
   /// The cache tier for \p RequestedDir (falling back to the server
   /// default): one long-lived ResultCache per resolved directory,
@@ -176,20 +180,15 @@ private:
   ServiceMetrics Metrics;
 
   FrameServer Frames;
-  std::thread Watchdog;
   std::vector<std::thread> SessionWorkers;
 
   mutable std::mutex QueueM;
   std::condition_variable QueueCV;  ///< workers wait for requests
   std::condition_variable DrainCV;  ///< waitDrained waits for empty+idle
-  std::condition_variable WatchCV;  ///< watchdog tick / shutdown wake
   /// Two-class admission queue in one deque: interactive requests
   /// always precede bulk ones (insertion keeps the partition), so
   /// pop_front serves interactive first and FIFO within each class.
   std::deque<std::shared_ptr<Request>> Queue;
-  /// In-flight requests, registered by workers for the watchdog's
-  /// deadline scan. Guarded by QueueM.
-  std::vector<std::shared_ptr<Request>> Active;
   std::atomic<size_t> InFlight{0};
 
   std::mutex CachesM;
