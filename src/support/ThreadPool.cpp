@@ -27,8 +27,8 @@ unsigned ThreadPool::defaultJobs() {
   long N = std::strtol(E, nullptr, 10);
   if (N < 1)
     return 1;
-  if (N > 256)
-    return 256;
+  if (N > MaxJobs)
+    return MaxJobs;
   return static_cast<unsigned>(N);
 }
 

@@ -60,8 +60,12 @@ public:
     return Fut;
   }
 
-  /// The AC_JOBS environment variable, clamped to [1, 256]; 1 when unset
-  /// or unparsable.
+  /// The most worker threads any job count may ask for: AC_JOBS, a
+  /// request's `jobs` and every tool's --jobs are bounded by it.
+  static constexpr unsigned MaxJobs = 256;
+
+  /// The AC_JOBS environment variable, clamped to [1, MaxJobs]; 1 when
+  /// unset or unparsable.
   static unsigned defaultJobs();
 
   /// Low-level fire-and-forget enqueue: no future. An exception escaping

@@ -43,8 +43,8 @@ void usage(const char *Argv0) {
       "  --remote-token-file F token file for --remote-cache dials\n"
       "  --workers N        concurrent check sessions (default: 2)\n"
       "  --queue N          admission queue capacity (default: 8)\n"
-      "  --jobs N           default abstraction jobs per request\n"
-      "                     (default: $AC_JOBS, 1 when unset)\n"
+      "  --jobs N           default abstraction jobs per request, at\n"
+      "                     most 256 (default: $AC_JOBS, 1 when unset)\n"
       "  --cache-dir DIR    default abstraction-cache directory\n"
       "  --retry-after-ms N backpressure retry hint (default: 50)\n"
       "  --shed-min-samples N completed requests needed before stale\n"
@@ -84,7 +84,7 @@ int main(int argc, char **argv) {
     if (Arg == "--queue")
       return Flags.num(Opts.QueueCapacity);
     if (Arg == "--jobs")
-      return Flags.num(Opts.Jobs);
+      return Flags.num(Opts.Jobs, 0, ac::support::ThreadPool::MaxJobs);
     if (Arg == "--cache-dir")
       return Flags.str(Opts.CacheDir);
     if (Arg == "--retry-after-ms")

@@ -12,6 +12,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "daemon_main.h"
 #include "service/Client.h"
 
 #include <algorithm>
@@ -24,6 +25,7 @@
 
 using ac::service::Client;
 using ac::support::Json;
+using ac::tools::parseNum;
 
 namespace {
 
@@ -38,15 +40,6 @@ void usage(const char *Argv0) {
       "  --json              print the raw fleet payload (with --once)\n"
       "  --top N             slowest-recent-requests rows (default: 8)\n",
       Argv0);
-}
-
-bool parseUnsigned(const char *S, unsigned &Out) {
-  char *End = nullptr;
-  unsigned long V = std::strtoul(S, &End, 10);
-  if (!End || *End || V > 1u << 20)
-    return false;
-  Out = static_cast<unsigned>(V);
-  return true;
 }
 
 /// One slow-request row, pooled across every shard's `recent` ring.
@@ -178,11 +171,9 @@ int main(int argc, char **argv) {
         std::fprintf(stderr, "actop: cannot read auth token file\n");
         return 2;
       }
-    } else if (Arg == "--interval-ms" && Next() &&
-               parseUnsigned(argv[I], N) && N > 0) {
+    } else if (Arg == "--interval-ms" && parseNum(Next(), N, 1)) {
       IntervalMs = N;
-    } else if (Arg == "--top" && Next() && parseUnsigned(argv[I], N) &&
-               N > 0) {
+    } else if (Arg == "--top" && parseNum(Next(), N, 1)) {
       TopK = N;
     } else if (Arg == "--once") {
       Once = true;
