@@ -3,6 +3,7 @@
 #include "hol/Cert.h"
 
 #include "hol/Builder.h"
+#include "support/Fingerprint.h"
 
 #include <atomic>
 #include <cstdio>
@@ -10,6 +11,7 @@
 #include <set>
 
 using namespace ac::hol;
+using ac::support::Fingerprint;
 
 //===----------------------------------------------------------------------===//
 // CertLog
@@ -44,85 +46,74 @@ void CertLog::enable() { CertEnabled.store(true, std::memory_order_relaxed); }
 // Canonical fingerprints
 //===----------------------------------------------------------------------===//
 
-// FNV-1a 64, the same function support/Fingerprint.h uses — re-derived
-// here so hol does not depend on support and the checker can restate it
-// in isolation.
-static constexpr uint64_t FnvOffset = 1469598103934665603ULL;
-static constexpr uint64_t FnvPrime = 1099511628211ULL;
-
-static void fpByte(uint64_t &H, uint8_t B) {
-  H ^= B;
-  H *= FnvPrime;
+// Certificates hash with support::Fingerprint from their own basis, the
+// FNV-1a offset basis short of its last decimal digit. The checker
+// (tools/acpc_check.h) restates it; changing it would change the
+// fingerprint of every axiom record.
+static Fingerprint certHasher() {
+  return Fingerprint::fromBasis(1469598103934665603ULL);
 }
-static void fpU64(uint64_t &H, uint64_t V) {
-  for (int I = 0; I != 8; ++I)
-    fpByte(H, static_cast<uint8_t>(V >> (8 * I)));
-}
-static void fpStr(uint64_t &H, const std::string &S) {
-  fpU64(H, S.size());
-  for (char C : S)
-    fpByte(H, static_cast<uint8_t>(C));
-}
+static void tag(Fingerprint &F, uint8_t B) { F.bytes(&B, 1); }
 
 uint64_t ac::hol::certTypeFingerprint(const TypeRef &T) {
-  uint64_t H = FnvOffset;
+  Fingerprint F = certHasher();
   if (T->isVar()) {
-    fpByte(H, 0x01);
-    fpStr(H, T->name());
-    return H;
+    tag(F, 0x01);
+    F.str(T->name());
+    return F.digest();
   }
-  fpByte(H, 0x02);
-  fpStr(H, T->name());
-  fpU64(H, T->args().size());
+  tag(F, 0x02);
+  F.str(T->name());
+  F.u64(T->args().size());
   for (const TypeRef &A : T->args())
-    fpU64(H, certTypeFingerprint(A));
-  return H;
+    F.u64(certTypeFingerprint(A));
+  return F.digest();
 }
 
 uint64_t ac::hol::certTermFingerprint(const TermRef &T) {
-  uint64_t H = FnvOffset;
+  Fingerprint F = certHasher();
   switch (T->kind()) {
   case Term::Kind::Const:
-    fpByte(H, 0x11);
-    fpStr(H, T->name());
-    fpU64(H, certTypeFingerprint(T->type()));
+    tag(F, 0x11);
+    F.str(T->name());
+    F.u64(certTypeFingerprint(T->type()));
     break;
   case Term::Kind::Free:
-    fpByte(H, 0x12);
-    fpStr(H, T->name());
-    fpU64(H, certTypeFingerprint(T->type()));
+    tag(F, 0x12);
+    F.str(T->name());
+    F.u64(certTypeFingerprint(T->type()));
     break;
   case Term::Kind::Var:
-    fpByte(H, 0x13);
-    fpStr(H, T->name());
-    fpU64(H, T->index());
-    fpU64(H, certTypeFingerprint(T->type()));
+    tag(F, 0x13);
+    F.str(T->name());
+    F.u64(T->index());
+    F.u64(certTypeFingerprint(T->type()));
     break;
   case Term::Kind::Bound:
-    fpByte(H, 0x14);
-    fpU64(H, T->index());
+    tag(F, 0x14);
+    F.u64(T->index());
     break;
   case Term::Kind::Lam:
-    fpByte(H, 0x15);
-    fpStr(H, T->name());
-    fpU64(H, certTypeFingerprint(T->type()));
-    fpU64(H, certTermFingerprint(T->body()));
+    tag(F, 0x15);
+    F.str(T->name());
+    F.u64(certTypeFingerprint(T->type()));
+    F.u64(certTermFingerprint(T->body()));
     break;
   case Term::Kind::App:
-    fpByte(H, 0x16);
-    fpU64(H, certTermFingerprint(T->fun()));
-    fpU64(H, certTermFingerprint(T->argTerm()));
+    tag(F, 0x16);
+    F.u64(certTermFingerprint(T->fun()));
+    F.u64(certTermFingerprint(T->argTerm()));
     break;
   case Term::Kind::Num: {
-    fpByte(H, 0x17);
+    tag(F, 0x17);
     auto V = static_cast<unsigned __int128>(T->value());
-    fpU64(H, static_cast<uint64_t>(V));
-    fpU64(H, static_cast<uint64_t>(V >> 64));
-    fpU64(H, certTypeFingerprint(T->type()));
+    F.u64(static_cast<uint64_t>(V));
+    F.u64(static_cast<uint64_t>(V >> 64));
+    F.u64(certTypeFingerprint(T->type()));
     break;
   }
   }
-  return H;
+  return F.digest();
 }
 
 //===----------------------------------------------------------------------===//
@@ -184,16 +175,6 @@ static std::string int128Str(Int128 V) {
   if (Neg)
     Out.push_back('-');
   Out.append(Buf + I, 48 - I);
-  return Out;
-}
-
-static std::string hex16(uint64_t V) {
-  static const char *Hex = "0123456789abcdef";
-  std::string Out(16, '0');
-  for (int I = 15; I >= 0; --I) {
-    Out[I] = Hex[V & 0xf];
-    V >>= 4;
-  }
   return Out;
 }
 
@@ -368,7 +349,7 @@ bool CertWriter::derivId(const DerivRef &D, uint64_t &Out) {
     if (N->kind() == Deriv::Kind::Axiom) {
       uint64_t P = termId(N->concl());
       Rec = "axiom " + tok(Name) + " " + u64Str(P) + " " +
-            hex16(certTermFingerprint(N->concl()));
+            Fingerprint::hex(certTermFingerprint(N->concl()));
     } else if (N->kind() == Deriv::Kind::Oracle) {
       Rec = "oracle " + tok(Name) + " " + u64Str(termId(N->concl()));
     } else {

@@ -31,6 +31,12 @@ public:
   Fingerprint() = default;
   /// Seeds with another digest (for derived keys).
   explicit Fingerprint(uint64_t Seed) { u64(Seed); }
+  /// A hasher that starts from \p Basis instead of the offset basis.
+  static Fingerprint fromBasis(uint64_t Basis) {
+    Fingerprint F;
+    F.H = Basis;
+    return F;
+  }
 
   void bytes(const void *Data, size_t Len) {
     const auto *P = static_cast<const unsigned char *>(Data);

@@ -24,8 +24,10 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/AutoCorres.h"
+#include "core/ResultCache.h"
 #include "corpus/Sources.h"
 #include "hol/Cert.h"
+#include "support/Fingerprint.h"
 
 #include "../../tools/acpc_check.h"
 
@@ -37,6 +39,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -234,4 +237,30 @@ TEST(GoldenCert, Midpoint) {
 }
 TEST(GoldenCert, ListReversal) {
   checkGoldenCert("reverse", corpus::reverseSource());
+}
+
+// Per-function certificates (ACOptions::CertDir) are named by the cache
+// key of the function each one certifies, which no fixture pins.
+TEST(GoldenCert, CertDirNamesEachFileByItsFunctionKey) {
+  namespace fs = std::filesystem;
+  std::string Scratch = (fs::temp_directory_path() /
+                         ("ac-certdir-" + std::to_string(getpid())))
+                            .string();
+  fs::remove_all(Scratch);
+  core::ACOptions Opts;
+  Opts.CacheDir = Scratch + "/cache"; // cold: a hit exports nothing
+  Opts.CertDir = Scratch + "/certs";
+  DiagEngine Diags;
+  auto AC = core::AutoCorres::run(corpus::reverseSource(), Diags, Opts);
+  ASSERT_TRUE(AC) << Diags.str();
+
+  std::set<std::string> Want, Got;
+  for (const auto &[Name, Key] : core::computeFunctionKeys(
+           AC->program(), Opts.NoHeapAbs, Opts.NoWordAbs))
+    Want.insert(support::Fingerprint::hex(Key) + ".acpc");
+  for (const fs::directory_entry &E : fs::directory_iterator(Opts.CertDir))
+    Got.insert(E.path().filename().string());
+  fs::remove_all(Scratch);
+  EXPECT_EQ(Got, Want);
+  EXPECT_EQ(AC->stats().CertsWritten, Want.size());
 }
