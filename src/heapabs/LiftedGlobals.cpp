@@ -28,10 +28,6 @@ std::string ac::heapabs::validFieldFor(const TypeRef &T) {
   return "is_valid_" + heapTypeTag(T);
 }
 
-TermRef LiftedGlobals::liftConst() const {
-  return Term::mkConst(liftName(), funTy(ConcreteTy, LiftedTy));
-}
-
 TermRef LiftedGlobals::isValid(const TypeRef &T, TermRef S,
                                TermRef P) const {
   TermRef Fld = mkFieldGet(liftedRecName(), validFieldFor(T),

@@ -28,8 +28,6 @@ namespace ac::heapabs {
 
 /// Name of the generated abstract state record.
 inline const char *liftedRecName() { return "lifted_globals"; }
-/// Name of the state abstraction function st : globals => lifted_globals.
-inline const char *liftName() { return "lift_global_heap"; }
 
 /// Short name of a heap type as used in field names (word32 -> "w32",
 /// struct node -> "node_C", word32 ptr -> "p_w32", ...).
@@ -46,9 +44,6 @@ struct LiftedGlobals {
   std::vector<hol::TypeRef> HeapTypes;
   /// Non-heap global fields (name, type), copied verbatim.
   std::vector<std::pair<std::string, hol::TypeRef>> PlainGlobals;
-
-  /// `lift_global_heap` as a term constant.
-  hol::TermRef liftConst() const;
 
   /// is_valid_'a s p.
   hol::TermRef isValid(const hol::TypeRef &T, hol::TermRef S,

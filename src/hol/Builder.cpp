@@ -236,16 +236,6 @@ TermRef ac::hol::mkCaseProd(TermRef Lam2, TermRef P) {
   return mkApps(C, {std::move(Lam2), std::move(P)});
 }
 
-TermRef ac::hol::mkCaseProdFn(TermRef Lam2) {
-  TypeRef LamTy = typeOf(Lam2);
-  TypeRef TA = domTy(LamTy);
-  TypeRef TB = domTy(ranTy(LamTy));
-  TypeRef ResTy = ranTy(ranTy(LamTy));
-  TermRef C = Term::mkConst(nm::CaseProd,
-                            funTy(LamTy, funTy(prodTy(TA, TB), ResTy)));
-  return Term::mkApp(C, std::move(Lam2));
-}
-
 TermRef ac::hol::mkNone(TypeRef ElemTy) {
   return Term::mkConst(nm::NoneC, optionTy(std::move(ElemTy)));
 }
@@ -310,21 +300,6 @@ TermRef ac::hol::mkWriteHeap(TermRef Heap, TermRef P, TermRef V) {
   TermRef C = Term::mkConst(
       nm::WriteHeap, funTys({heapTy(), PTy, PTy->arg(0)}, heapTy()));
   return mkApps(C, {std::move(Heap), std::move(P), std::move(V)});
-}
-
-TermRef ac::hol::mkHeapLift(TermRef Heap, TermRef P) {
-  TypeRef PTy = typeOf(P);
-  assert(isPtrTy(PTy) && "heap_lift of non-pointer");
-  TermRef C = Term::mkConst(nm::HeapLift,
-                            funTys({heapTy(), PTy}, optionTy(PTy->arg(0))));
-  return mkApps(C, {std::move(Heap), std::move(P)});
-}
-
-TermRef ac::hol::mkTypeTagValid(TermRef Heap, TermRef P) {
-  TypeRef PTy = typeOf(P);
-  TermRef C =
-      Term::mkConst(nm::TypeTagValid, funTys({heapTy(), PTy}, boolTy()));
-  return mkApps(C, {std::move(Heap), std::move(P)});
 }
 
 //===----------------------------------------------------------------------===//
@@ -423,26 +398,8 @@ TermRef ac::hol::mkWhileLoop(TermRef Cond, TermRef Body, TermRef Init) {
   return mkApps(C, {std::move(Cond), std::move(Body), std::move(Init)});
 }
 
-TermRef ac::hol::mkUnknown(TypeRef S, TypeRef A, TypeRef E) {
-  return Term::mkConst(nm::Unknown, monadTy(std::move(S), std::move(A),
-                                            std::move(E)));
-}
-
 TypeRef ac::hol::xcptTy(TypeRef RetTy) {
   return Type::con("xcpt", {std::move(RetTy)});
-}
-
-TermRef ac::hol::mkXReturn(TermRef V) {
-  TypeRef Ty = typeOf(V);
-  TermRef C = Term::mkConst(nm::XReturn, funTy(Ty, xcptTy(Ty)));
-  return Term::mkApp(C, std::move(V));
-}
-
-TermRef ac::hol::mkXBreak(TypeRef RetTy) {
-  return Term::mkConst(nm::XBreak, xcptTy(std::move(RetTy)));
-}
-TermRef ac::hol::mkXContinue(TypeRef RetTy) {
-  return Term::mkConst(nm::XContinue, xcptTy(std::move(RetTy)));
 }
 
 //===----------------------------------------------------------------------===//
@@ -472,17 +429,4 @@ TermRef ac::hol::mkFieldSet(const std::string &RecName,
   TermRef Fn = Term::mkLam("_", FieldTy, liftLoose(V, 1));
   return mkFieldUpdate(RecName, Field, std::move(FieldTy), std::move(RecTy),
                        std::move(Fn), std::move(Rec));
-}
-
-bool ac::hol::destFieldGet(const TermRef &T, std::string &Field,
-                           TermRef &Rec) {
-  if (!T->isApp())
-    return false;
-  const TermRef &H = T->fun();
-  if (!H->isConst() || H->name().rfind("fld:", 0) != 0)
-    return false;
-  size_t Dot = H->name().rfind('.');
-  Field = H->name().substr(Dot + 1);
-  Rec = T->argTerm();
-  return true;
 }

@@ -93,8 +93,6 @@ TermRef mkFst(TermRef P);
 TermRef mkSnd(TermRef P);
 /// case_prod (%a b. Body) : 'a * 'b => 'c applied to \p P.
 TermRef mkCaseProd(TermRef Lam2, TermRef P);
-/// case_prod (%a b. Body) as an unapplied function 'a * 'b => 'c.
-TermRef mkCaseProdFn(TermRef Lam2);
 TermRef mkNone(TypeRef ElemTy);
 TermRef mkSome(TermRef A);
 TermRef mkThe(TermRef Opt);
@@ -112,8 +110,6 @@ TermRef mkPtrRangeOk(TermRef P);
 TermRef mkReadHeap(TermRef Heap, TermRef P);
 /// write Heap P V.
 TermRef mkWriteHeap(TermRef Heap, TermRef P, TermRef V);
-TermRef mkHeapLift(TermRef Heap, TermRef P);
-TermRef mkTypeTagValid(TermRef Heap, TermRef P);
 
 /// The nominal type of the byte-level heap (bytes + Tuch type tags).
 TypeRef heapTy();
@@ -139,14 +135,10 @@ TermRef mkCondition(TermRef C, TermRef T, TermRef E);
 /// whileLoop Cond Body Init where Cond : 'a => 's => bool,
 /// Body : 'a => ('s,'a,'e) monad, Init : 'a.
 TermRef mkWhileLoop(TermRef Cond, TermRef Body, TermRef Init);
-TermRef mkUnknown(TypeRef S, TypeRef A, TypeRef E);
 
 /// The exception payload type for a function returning \p RetTy
 /// (constructors XReturn/XBreak/XContinue).
 TypeRef xcptTy(TypeRef RetTy);
-TermRef mkXReturn(TermRef V);
-TermRef mkXBreak(TypeRef RetTy);
-TermRef mkXContinue(TypeRef RetTy);
 
 //===----------------------------------------------------------------------===//
 // Records. Field access/update constants are named "fld:Rec.f" and
@@ -162,9 +154,6 @@ TermRef mkFieldUpdate(const std::string &RecName, const std::string &Field,
 /// Constant-valued field update: f_update (%_. V) Rec.
 TermRef mkFieldSet(const std::string &RecName, const std::string &Field,
                    TypeRef FieldTy, TypeRef RecTy, TermRef V, TermRef Rec);
-
-/// True (filling Rec/Field) if T = `fld:R.f Rec`.
-bool destFieldGet(const TermRef &T, std::string &Field, TermRef &Rec);
 
 } // namespace ac::hol
 

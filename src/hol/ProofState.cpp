@@ -28,13 +28,6 @@ TermRef ProofState::firstGoal() const {
   return S.apply(Nodes[OpenGoals.front()].Goal);
 }
 
-std::vector<TermRef> ProofState::openGoals() const {
-  std::vector<TermRef> Out;
-  for (unsigned Id : OpenGoals)
-    Out.push_back(S.apply(Nodes[Id].Goal));
-  return Out;
-}
-
 /// Builds a substitution renaming every schematic (term/type variable) of
 /// \p Prop to a fresh copy at \p Offset.
 static void collectFreshening(const TermRef &T, unsigned Offset, Subst &Out) {

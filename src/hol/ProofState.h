@@ -41,8 +41,6 @@ public:
 
   /// First open subgoal, resolved through the current instantiation.
   TermRef firstGoal() const;
-  /// All open subgoals, resolved.
-  std::vector<TermRef> openGoals() const;
 
   /// Resolves the first subgoal against \p Rule (of shape
   /// P1 --> ... --> Pn --> C): unifies C with the subgoal and replaces it
@@ -60,9 +58,6 @@ public:
   /// Closes the first (schematic-free) subgoal using an external prover.
   bool solveWith(
       const std::function<std::optional<Thm>(const TermRef &)> &Solver);
-
-  /// Current global instantiation.
-  const Subst &subst() const { return S; }
 
   /// Assembles the final theorem. Asserts that no subgoals remain.
   Thm finish() const;

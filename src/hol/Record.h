@@ -53,13 +53,6 @@ public:
     return It == Records.end() ? nullptr : &It->second;
   }
 
-  /// Looks up the record behind a `record:Name` type.
-  const RecordInfo *lookupType(const TypeRef &Ty) const {
-    if (!Ty || !Ty->isCon() || Ty->name().rfind("record:", 0) != 0)
-      return nullptr;
-    return lookup(Ty->name().substr(7));
-  }
-
   const std::map<std::string, RecordInfo> &all() const { return Records; }
 
 private:

@@ -161,10 +161,6 @@ TypeRef ac::hol::funTy(TypeRef Dom, TypeRef Ran) {
 TypeRef ac::hol::prodTy(TypeRef A, TypeRef B) {
   return Type::con("prod", {std::move(A), std::move(B)});
 }
-TypeRef ac::hol::sumTy(TypeRef A, TypeRef B) {
-  return Type::con("sum", {std::move(A), std::move(B)});
-}
-TypeRef ac::hol::setTy(TypeRef A) { return Type::con("set", {std::move(A)}); }
 TypeRef ac::hol::optionTy(TypeRef A) {
   return Type::con("option", {std::move(A)});
 }

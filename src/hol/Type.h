@@ -95,8 +95,6 @@ TypeRef wordTy(unsigned Bits);
 TypeRef swordTy(unsigned Bits);
 TypeRef funTy(TypeRef Dom, TypeRef Ran);
 TypeRef prodTy(TypeRef A, TypeRef B);
-TypeRef sumTy(TypeRef A, TypeRef B);
-TypeRef setTy(TypeRef A);
 TypeRef optionTy(TypeRef A);
 TypeRef listTy(TypeRef A);
 /// Typed pointer into the C heap ('a ptr). Pointer values are 32-bit.

@@ -113,11 +113,6 @@ private:
 
 } // namespace
 
-std::string ac::simpl::printSimpl(const SimplStmtPtr &S, unsigned Width) {
-  SimplPrinter P(Width);
-  return P.print(S, 0);
-}
-
 std::string ac::simpl::printSimplFunc(const SimplFunc &F) {
   std::ostringstream OS;
   OS << F.Name << "_body ==\n";

@@ -21,9 +21,6 @@
 
 namespace ac::simpl {
 
-/// Pretty-prints one Simpl statement tree.
-std::string printSimpl(const SimplStmtPtr &S, unsigned Width = 80);
-
 /// Renders a whole function as `NAME_body == <stmt>`.
 std::string printSimplFunc(const SimplFunc &F);
 

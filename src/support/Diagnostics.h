@@ -67,7 +67,6 @@ public:
   }
 
   bool hasErrors() const { return NumErrors != 0; }
-  unsigned errorCount() const { return NumErrors; }
   const std::vector<Diagnostic> &diagnostics() const { return Diags; }
 
   /// Renders every diagnostic, one per line.
