@@ -44,12 +44,14 @@ struct ServiceMetrics {
 
   /// Request lifecycle. `Received` counts admitted check requests;
   /// every admitted request ends in exactly one of Completed (ran,
-  /// response delivered), Failed (ran, error response delivered — e.g.
-  /// a C parse error), Cancelled (client hung up: the queue slot was
-  /// freed without running, or the response was undeliverable), or
-  /// DeadlineExceeded (the request's timeout_ms elapsed; the watchdog
-  /// answered and any in-flight result was discarded). Rejected counts
-  /// refusals that never entered the queue (Busy / Draining).
+  /// response delivered), Failed (error response delivered — e.g. a C
+  /// parse error), or Cancelled (client hung up: the queue slot was
+  /// freed without running, or the response was undeliverable).
+  /// DeadlineExceeded counts the requests whose timeout_ms elapsed
+  /// first, inside Failed (answer delivered) or Cancelled (not): the
+  /// waiting connection thread answered and any in-flight result was
+  /// discarded. Rejected counts refusals that never entered the queue
+  /// (Busy / Draining).
   std::atomic<uint64_t> Received{0};
   std::atomic<uint64_t> Completed{0};
   std::atomic<uint64_t> Failed{0};
