@@ -14,6 +14,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
 using namespace ac;
 using namespace ac::hol;
 using namespace ac::monad;
@@ -28,7 +30,11 @@ struct HLPipeline {
   std::map<std::string, L2Result> L2;
   std::unique_ptr<HeapAbstraction> HL;
 
-  explicit HLPipeline(const std::string &Src) : Ctx(nullptr) {
+  /// \p Setup runs on the engine before any function is abstracted.
+  explicit HLPipeline(
+      const std::string &Src,
+      const std::function<void(HeapAbstraction &)> &Setup = {})
+      : Ctx(nullptr) {
     DiagEngine Diags;
     Prog = simpl::parseAndTranslate(Src, Diags);
     EXPECT_TRUE(Prog != nullptr) << Diags.str();
@@ -36,6 +42,8 @@ struct HLPipeline {
     convertAllL1(*Prog, Ctx);
     L2 = convertAllL2(*Prog, Ctx);
     HL = std::make_unique<HeapAbstraction>(*Prog, Ctx);
+    if (Setup)
+      Setup(*HL);
     for (const std::string &Name : Prog->FunctionOrder)
       HL->abstractFunction(*Prog->function(Name), L2.at(Name));
   }
@@ -163,6 +171,35 @@ const char *CallSrc = "unsigned get(unsigned *p) { return *p; }\n"
                       "  put(b, v);\n"
                       "}\n";
 
+const char *NotSrc = "unsigned inv(unsigned *p) { return ~*p; }\n";
+
+/// The user idiom rule
+///   abs_h_val ?P ?a ?c ==>
+///   abs_h_val ?P (%s. bitNOT (?a s)) (%s. bitNOT (?c s))
+/// at word32, lifting C's `~` through its operand's abstraction.
+Thm bitNotUserRule() {
+  TypeRef W32 = wordTy(32);
+  TypeRef LTy = recordTy(liftedRecName());
+  TypeRef GTy = recordTy(simpl::globalsRecName());
+  TermRef AbsHVal = Term::mkConst(
+      names::AbsHVal,
+      funTys({funTy(LTy, boolTy()), funTy(LTy, W32), funTy(GTy, W32)},
+             boolTy()));
+  TermRef NotC = Term::mkConst(names::BitNot, funTy(W32, W32));
+  TermRef P = Term::mkVar("P", 0, funTy(LTy, boolTy()));
+  TermRef A = Term::mkVar("a", 0, funTy(LTy, W32));
+  TermRef C = Term::mkVar("c", 0, funTy(GTy, W32));
+  auto notOf = [&](const TermRef &F, const TypeRef &STy) {
+    return Term::mkLam(
+        "s", STy,
+        Term::mkApp(NotC, Term::mkApp(F, Term::mkBound(0))));
+  };
+  return Kernel::axiom(
+      "user.hl_bitnot",
+      mkImp(mkApps(AbsHVal, {P, A, C}),
+            mkApps(AbsHVal, {P, notOf(A, LTy), notOf(C, GTy)})));
+}
+
 } // namespace
 
 TEST(HeapAbs, SwapLiftsAndMatchesFig5) {
@@ -247,6 +284,23 @@ TEST(HeapAbs, DerivationLeavesAreHLRules) {
   EXPECT_TRUE(Oracles.empty());
   // And the derivation is substantial (one instantiation per node).
   EXPECT_GT(derivSize(P.result("swap").Corres), 20u);
+}
+
+TEST(HeapAbs, UserValRuleFiresAndKeepsTheSpec) {
+  // Without the user rule, HL.val_app lifts `~*p`; with it, the rule
+  // fires instead and must derive the same spec.
+  HLPipeline Plain(NotSrc);
+  ASSERT_TRUE(Plain.result("inv").Lifted);
+  HLPipeline User(NotSrc, [](HeapAbstraction &HL) {
+    HL.addValRule(bitNotUserRule());
+  });
+  const HLResult &R = User.result("inv");
+  ASSERT_TRUE(R.Lifted);
+  EXPECT_EQ(printTerm(R.AppliedBody),
+            printTerm(Plain.result("inv").AppliedBody));
+  std::set<std::string> Axs, Oracles;
+  collectLeaves(R.Corres, Axs, Oracles);
+  EXPECT_TRUE(Axs.count("user.hl_bitnot"));
 }
 
 TEST(HeapAbs, CorrectTheoremStatement) {
