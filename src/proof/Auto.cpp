@@ -5,7 +5,6 @@
 #include "hol/GroundEval.h"
 #include "hol/Names.h"
 #include "hol/Print.h"
-#include "hol/ProofState.h"
 
 #include <cstdlib>
 #include <map>

@@ -1,20 +1,13 @@
-//===- KernelTest.cpp - LCF kernel and resolution -------------------------===//
-
-#include "hol/ProofState.h"
+//===- KernelTest.cpp - LCF kernel ----------------------------------------===//
 
 #include "hol/GroundEval.h"
 #include "hol/Print.h"
+#include "hol/Thm.h"
 
 #include <gtest/gtest.h>
 
 using namespace ac::hol;
 namespace nm = ac::hol::names;
-
-namespace {
-
-TermRef var(const char *N, TypeRef Ty) { return Term::mkVar(N, 0, Ty); }
-
-} // namespace
 
 TEST(Kernel, MpAndInstantiate) {
   TermRef P = Term::mkFree("P", boolTy());
@@ -64,68 +57,4 @@ TEST(Kernel, InventoryRegistersAxioms) {
   Kernel::axiom("test.inventory_probe",
                 mkEq(mkNumOf(natTy(), 1), mkNumOf(natTy(), 1)));
   EXPECT_TRUE(Inventory::instance().hasAxiom("test.inventory_probe"));
-}
-
-TEST(ProofState, SchematicResolutionComputesAnswer) {
-  // Mimic the paper's Sec 3.3 mechanics on a toy judgement:
-  //   rel ?A c  with rules  rel (f ?X) (g ?X)   and   rel base cbase.
-  TypeRef U = Type::con("u");
-  TypeRef V = Type::con("v");
-  auto RelC = [&] {
-    return Term::mkConst("rel", funTys({U, V}, boolTy()));
-  };
-  TermRef FC = Term::mkConst("f", funTy(U, U));
-  TermRef GC = Term::mkConst("g", funTy(V, V));
-  TermRef Base = Term::mkConst("base", U);
-  TermRef CBase = Term::mkConst("cbase", V);
-
-  TermRef X = Term::mkVar("X", 0, U);
-  TermRef Y = Term::mkVar("Y", 0, V);
-  Thm Step = Kernel::axiom(
-      "test.rel_step",
-      mkImp(mkApps(RelC(), {X, Y}),
-            mkApps(RelC(), {Term::mkApp(FC, X), Term::mkApp(GC, Y)})));
-  Thm BaseR =
-      Kernel::axiom("test.rel_base", mkApps(RelC(), {Base, CBase}));
-
-  // Goal: rel ?A (g (g cbase)) — resolution must *compute* ?A = f (f base).
-  TermRef A = Term::mkVar("A", 0, U);
-  TermRef Goal = mkApps(
-      RelC(), {A, Term::mkApp(GC, Term::mkApp(GC, CBase))});
-  ProofState PS(Goal);
-  ASSERT_TRUE(PS.applyRule(Step));
-  ASSERT_TRUE(PS.applyRule(Step));
-  ASSERT_TRUE(PS.dischargeBy(BaseR));
-  ASSERT_TRUE(PS.done());
-  Thm Final = PS.finish();
-  TermRef Expect = mkApps(
-      RelC(), {Term::mkApp(FC, Term::mkApp(FC, Base)),
-               Term::mkApp(GC, Term::mkApp(GC, CBase))});
-  EXPECT_TRUE(termEq(Final.prop(), Expect))
-      << "got: " << Final.str();
-}
-
-TEST(ProofState, IntroAll) {
-  // Goal: ALL x. x <= x, via intro + a schematic axiom.
-  TypeRef N = natTy();
-  TermRef XV = var("x", N);
-  Thm LeRefl = Kernel::axiom("test.le_refl", mkLessEq(XV, XV));
-  TermRef Goal = mkAll("x", N, mkLessEq(Term::mkFree("x", N),
-                                        Term::mkFree("x", N)));
-  ProofState PS(Goal);
-  ASSERT_TRUE(PS.introAll());
-  ASSERT_TRUE(PS.dischargeBy(LeRefl));
-  Thm Final = PS.finish();
-  EXPECT_TRUE(termEq(Final.prop(), Goal));
-}
-
-TEST(ProofState, FailedRuleLeavesStateIntact) {
-  TermRef Goal = mkLess(Term::mkFree("a", natTy()),
-                        Term::mkFree("b", natTy()));
-  ProofState PS(Goal);
-  Thm Wrong = Kernel::axiom("test.wrong_rule",
-                            mkEq(mkNumOf(natTy(), 1), mkNumOf(natTy(), 1)));
-  EXPECT_FALSE(PS.applyRule(Wrong));
-  EXPECT_EQ(PS.numOpen(), 1u);
-  EXPECT_TRUE(termEq(PS.firstGoal(), Goal));
 }
