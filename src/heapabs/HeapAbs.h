@@ -31,7 +31,6 @@
 #define AC_HEAPABS_HEAPABS_H
 
 #include "heapabs/LiftedGlobals.h"
-#include "hol/RuleIndex.h"
 #include "hol/Thm.h"
 #include "monad/L2.h"
 
@@ -117,11 +116,6 @@ private:
   mutable std::shared_mutex ResultsM;
   std::map<std::string, HLResult> Results;
   std::vector<hol::Thm> UserValRules;
-  /// Discrimination tree over the conclusions' concrete sides, so val()
-  /// consults only the user rules whose pattern could match the current
-  /// subterm. Rules whose conclusion is not a 3-argument application are
-  /// unindexed — they can never fire in the scan either.
-  hol::RuleIndex UserValIndex;
   /// Per-thread engine state: the function being abstracted and its
   /// fresh-name counter. Thread-local (each worker abstracts one function
   /// at a time) and reset on abstractFunction entry, so fresh names

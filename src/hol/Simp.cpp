@@ -17,8 +17,6 @@ Simpset::Simpset(const Simpset &O) {
   std::lock_guard<std::mutex> L(O.MemoM);
   Rules = O.Rules;
   Solvers = O.Solvers;
-  for (unsigned I = 0; I != Rules.size(); ++I)
-    Index.add(Rules[I].Lhs, I);
   NormalMemo = O.NormalMemo;
 }
 
@@ -29,7 +27,6 @@ Simpset &Simpset::operator=(const Simpset &O) {
   std::lock_guard<std::mutex> L(MemoM);
   Rules = std::move(Tmp.Rules);
   Solvers = std::move(Tmp.Solvers);
-  Index = std::move(Tmp.Index);
   NormalMemo = std::move(Tmp.NormalMemo);
   return *this;
 }
@@ -56,16 +53,8 @@ void Simpset::memoMarkNormal(const TermRef &T) const {
 void Simpset::addRule(const Thm &T) {
   Rule R;
   R.Origin = T;
-  TermRef Body = T.prop();
-  std::vector<TermRef> Premises;
-  {
-    TermRef A, B;
-    while (destImp(Body, A, B)) {
-      Premises.push_back(A);
-      Body = B;
-    }
-  }
-  R.Conds = std::move(Premises);
+  TermRef Body;
+  stripImps(T.prop(), R.Conds, Body);
   TermRef L, RT;
   if (destEq(Body, L, RT)) {
     R.Lhs = L;
@@ -77,8 +66,8 @@ void Simpset::addRule(const Thm &T) {
   }
   // Match targets are always beta-normal (the rewriter normalizes as it
   // rebuilds, and the unifier normalizes on every substitution step), so
-  // store and index the normalized lhs. A lhs the normalizer contracts
-  // to a schematic head — e.g. `fst (?a, ?b)`, which betaNorm projects
+  // store the normalized lhs. A lhs the normalizer contracts to a
+  // schematic head — e.g. `fst (?a, ?b)`, which betaNorm projects
   // straight to `?a` — is a root wildcard: it would "match" every term,
   // rewrite none of them (its rhs is the same projection), and its
   // vacuous matches would bump the event counter that gates the
@@ -90,7 +79,6 @@ void Simpset::addRule(const Thm &T) {
     Head = Head->fun();
   if (Head->isVar())
     return;
-  Index.add(R.Lhs, static_cast<unsigned>(Rules.size()));
   Rules.push_back(std::move(R));
   // Context changed: terms normal under the old rule set may now be
   // rewritable.
@@ -220,15 +208,13 @@ private:
       }
     }
 
-    // Try each plausibly matching rule once at the root, in rule order —
-    // candidates() returns ascending indices, so the first rule to fire
-    // is the one a full linear scan would have fired.
-    std::vector<unsigned> Cands;
-    SS.candidates(Cur, Cands);
-    for (unsigned RuleId : Cands) {
-      const Simpset::Rule &Rule = SS.rules()[RuleId];
+    // Try each rule once at the root, in rule order.
+    for (const Simpset::Rule &Rule : SS.rules()) {
       if (Budget == 0) {
-        ++Events; // Rules went untried; this proves nothing normal.
+        // Rules went untried; this proves nothing normal. Events only
+        // decides what enters the memo, so counting one at a node that
+        // no rule could match costs a memo entry, never a result.
+        ++Events;
         break;
       }
       std::optional<Subst> M = matchTerm(Rule.Lhs, Cur);

@@ -32,7 +32,6 @@
 #ifndef AC_WORDABS_WORDABS_H
 #define AC_WORDABS_WORDABS_H
 
-#include "hol/RuleIndex.h"
 #include "hol/Thm.h"
 #include "monad/Interp.h"
 
@@ -139,11 +138,6 @@ private:
   mutable std::shared_mutex ResultsM;
   std::map<std::string, WAResult> Results;
   std::vector<hol::Thm> UserValRules;
-  /// Discrimination tree over the conclusions' concrete sides, so val()
-  /// consults only the user rules whose pattern could match the current
-  /// subterm. Rules whose conclusion is not a 4-argument application are
-  /// unindexed — they can never fire in the scan either.
-  hol::RuleIndex UserValIndex;
   /// Per-thread engine state (each worker abstracts one function at a
   /// time); Tracked is scoped to the current function and CurFn/FreshCtr
   /// are reset on abstractFunction entry, so the output is identical
