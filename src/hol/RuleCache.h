@@ -1,11 +1,15 @@
-//===- RuleCache.h - Mint-once cache for generated rule axioms --*- C++ -*-===//
+//===- RuleCache.h - Rule minting and application for WA and HL -*- C++ -*-===//
 //
 // Part of the autocorres-cpp project, under the BSD 2-Clause License.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The WA/HL engines mint per-width and per-type rule axioms at their use
+/// What the WA and HL engines share to mint and apply their rules. Both
+/// apply a rule forward: inst() instantiates it and the caller discharges
+/// its premises with Kernel::mp.
+///
+/// The engines mint per-width and per-type rule axioms at their use
 /// sites (e.g. the width-32 nat_plus rule, the HL.read rule for word32),
 /// once per *occurrence* in the program being abstracted. Axioms are
 /// immutable and keyed by name, so every minting after the first rebuilds
@@ -23,10 +27,14 @@
 #define AC_HOL_RULECACHE_H
 
 #include "hol/Thm.h"
+#include "support/RuleProfile.h"
 
 #include <map>
 #include <mutex>
+#include <optional>
 #include <string>
+#include <utility>
+#include <vector>
 
 namespace ac::hol {
 
@@ -52,6 +60,40 @@ private:
   std::mutex M;
   std::map<std::string, Thm> Map;
 };
+
+/// Instantiates the schematics of \p Ax (all at index 0). Committing to
+/// a rule: the profile counts this as a fire of the rule's axiom name and
+/// attributes the instantiation time to it.
+inline Thm inst(const Thm &Ax,
+                std::vector<std::pair<const char *, TermRef>> Tms,
+                std::vector<std::pair<const char *, TypeRef>> Tys = {}) {
+  support::RuleTimer RT([&Ax] { return Ax.deriv()->name(); });
+  RT.hit();
+  Subst S;
+  for (auto &[N, T] : Tys)
+    S.bindTy(N, T);
+  for (auto &[N, T] : Tms)
+    S.bind(N, 0, T);
+  return Kernel::instantiate(Ax, S);
+}
+
+/// Profile bookkeeping for a rule candidate that matched the shape of
+/// the input but whose sub-derivation failed: a failed match of the
+/// named rule. Returns nullopt so failure paths read
+/// `return ruleMiss(R.Bind);`.
+inline std::nullopt_t ruleMiss(const Thm &Rule) {
+  if (support::RuleProfile::enabled())
+    support::RuleProfile::record(Rule.deriv()->name(), false, 0);
+  return std::nullopt;
+}
+
+/// Same, for per-width or per-type rules whose Thm was never built — the
+/// name is assembled only when profiling is armed.
+template <typename NameFn> std::nullopt_t ruleMissN(NameFn &&F) {
+  if (support::RuleProfile::enabled())
+    support::RuleProfile::record(F(), false, 0);
+  return std::nullopt;
+}
 
 } // namespace ac::hol
 
