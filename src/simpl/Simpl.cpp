@@ -92,24 +92,6 @@ SimplStmtPtr SimplStmt::mkCall(std::string Callee,
   return SimplStmtPtr(S);
 }
 
-unsigned SimplStmt::stmtCount() const {
-  unsigned N = 1;
-  if (A)
-    N += A->stmtCount();
-  if (B)
-    N += B->stmtCount();
-  return N;
-}
-
-unsigned SimplStmt::guardCount() const {
-  unsigned N = K == Kind::Guard ? 1 : 0;
-  if (A)
-    N += A->guardCount();
-  if (B)
-    N += B->guardCount();
-  return N;
-}
-
 unsigned SimplStmt::termSize() const {
   unsigned N = 1;
   if (Upd)

@@ -101,10 +101,6 @@ public:
                              std::vector<hol::TermRef> Args,
                              hol::TermRef ResultStore);
 
-  /// Number of statement nodes.
-  unsigned stmtCount() const;
-  /// Number of Guard statements (optionally of one kind).
-  unsigned guardCount() const;
   /// Total HOL term size embedded in this statement tree plus one node per
   /// statement — the "term size" metric for the C-parser column of Table 5.
   unsigned termSize() const;
