@@ -41,7 +41,8 @@ void usage(const char *Argv0) {
       "  --remote-cache A   use the accached daemon at A (host:port or\n"
       "                     Unix path) as a third cache tier\n"
       "  --remote-token-file F token file for --remote-cache dials\n"
-      "  --workers N        concurrent check sessions (default: 2)\n"
+      "  --workers N        concurrent check sessions, at most 256\n"
+      "                     (default: 2)\n"
       "  --queue N          admission queue capacity (default: 8)\n"
       "  --jobs N           default abstraction jobs per request, at\n"
       "                     most 256 (default: $AC_JOBS, 1 when unset)\n"
@@ -80,7 +81,7 @@ int main(int argc, char **argv) {
     if (Arg == "--remote-token-file")
       return Flags.token(RemoteToken, "remote");
     if (Arg == "--workers")
-      return Flags.num(Opts.Workers);
+      return Flags.num(Opts.Workers, 0, ac::support::ThreadPool::MaxJobs);
     if (Arg == "--queue")
       return Flags.num(Opts.QueueCapacity);
     if (Arg == "--jobs")
