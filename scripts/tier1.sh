@@ -20,12 +20,14 @@
 #      surface — the daemon juggles detached connection threads, shared
 #      cache tiers and a shared pool, exactly where lifetime bugs hide.
 #   5. Daemon golden round trip: start a real acd, require acc to refuse
-#      a negative, non-numeric or empty --jobs (exit 2), serve every golden
-#      corpus through acc --golden, byte-compare against the checked-in
-#      fixtures (cold, then warm with asserted cache hits); then an edit
-#      round trip — a small unit re-checked after a one-literal edit must
-#      match an uncached in-process run and miss only the edited function
-#      and its callers; then SIGTERM-drain and require a clean exit.
+#      a negative, non-numeric or empty --jobs (exit 2) and acd to refuse
+#      a --workers above 256 or non-numeric (exit 2, no socket file left),
+#      serve every golden corpus through acc --golden, byte-compare
+#      against the checked-in fixtures (cold, then warm with asserted
+#      cache hits); then an edit round trip — a small unit re-checked
+#      after a one-literal edit must match an uncached in-process run and
+#      miss only the edited function and its callers; then SIGTERM-drain
+#      and require a clean exit.
 #   6. Chaos: the fault-injection suite under ASan (every registered
 #      site driven through failure and recovery), the AC_FAULTS env
 #      path (a cache write torn mid-save must recover byte-identically
@@ -253,6 +255,19 @@ for bad in -1 x ''; do
   "$ACC" --socket "$SOCK" --jobs "$bad" --corpus max >/dev/null 2>&1 || RC=$?
   if [[ "$RC" != 2 ]]; then
     echo "tier-1: FAILED — acc --jobs $bad exited $RC, want 2." >&2
+    exit 1
+  fi
+done
+# acd bounds its session workers the same way (at most 256): a larger or
+# non-numeric count exits 2 before a thread starts or a socket is bound.
+# The timeout turns a daemon that starts anyway into a failure, not a hang.
+for bad in 257 x; do
+  RC=0
+  timeout 10 "$ACD" --socket "$ACD_DIR/bad.sock" --workers "$bad" \
+    >/dev/null 2>&1 || RC=$?
+  if [[ "$RC" != 2 || -e "$ACD_DIR/bad.sock" ]]; then
+    echo "tier-1: FAILED — acd --workers $bad exited $RC (want 2) or" \
+         "left a socket file." >&2
     exit 1
   fi
 done
