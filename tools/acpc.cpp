@@ -19,19 +19,19 @@
 // 2 usage or unreadable input.
 //
 // The entire checking logic lives in acpc_check.h, which includes
-// nothing from src/ — this file only adds argument handling and worker
-// threads. Each certificate is checked on a dedicated thread with a
-// large stack so legitimately deep terms (long bind spines) re-derive
-// fine while adversarially deep input still dies at the depth cap, not
-// by stack overflow.
+// nothing from src/ — this file only adds argument handling (flags.h,
+// standard library only) and worker threads. Each certificate is
+// checked on a dedicated thread with a large stack so legitimately deep
+// terms (long bind spines) re-derive fine while adversarially deep input
+// still dies at the depth cap, not by stack overflow.
 //
 //===----------------------------------------------------------------------===//
 
 #include "acpc_check.h"
+#include "flags.h"
 
 #include <atomic>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <pthread.h>
 #include <sstream>
@@ -79,11 +79,10 @@ void *worker(void *P) {
   }
 }
 
-int usage() {
+void usage(const char *) {
   std::fprintf(stderr,
                "usage: acpc [-j N] [--leaves] [--quiet] [--max-depth N] "
                "[--node-budget N] <cert.acpc>...\n");
-  return 2;
 }
 
 } // namespace
@@ -94,40 +93,35 @@ int main(int argc, char **argv) {
   unsigned NThreads = 1;
   bool Leaves = false, Quiet = false;
 
-  for (int I = 1; I < argc; ++I) {
-    std::string A = argv[I];
-    auto numArg = [&](unsigned long long &Out) {
-      if (I + 1 >= argc)
-        return false;
-      char *End = nullptr;
-      Out = std::strtoull(argv[++I], &End, 10);
-      return End && *End == '\0' && Out > 0;
-    };
-    unsigned long long N = 0;
+  // Unknown flags, --help included, print only the usage line.
+  ac::tools::Flags Flags("acpc", usage, argc, argv);
+  int RC = Flags.parse([&](const std::string &A) {
+    using ac::tools::Flag;
     if (A == "-j") {
-      if (!numArg(N))
-        return usage();
+      uint64_t N = 0;
+      Flag F = Flags.num(N, 1, UINT64_MAX);
       NThreads = static_cast<unsigned>(N > 256 ? 256 : N);
-    } else if (A == "--max-depth") {
-      if (!numArg(N))
-        return usage();
-      Opts.MaxDepth = N;
-    } else if (A == "--node-budget") {
-      if (!numArg(N))
-        return usage();
-      Opts.NodeBudget = N;
-    } else if (A == "--leaves") {
-      Leaves = true;
-    } else if (A == "--quiet") {
-      Quiet = true;
-    } else if (!A.empty() && A[0] == '-') {
-      return usage();
-    } else {
-      Jobs.push_back(FileJob{A, false, {}});
+      return F;
     }
+    if (A == "--max-depth")
+      return Flags.num(Opts.MaxDepth, 1, UINT64_MAX);
+    if (A == "--node-budget")
+      return Flags.num(Opts.NodeBudget, 1, UINT64_MAX);
+    if (A == "--leaves")
+      return Flags.set(Leaves);
+    if (A == "--quiet")
+      return Flags.set(Quiet);
+    if (!A.empty() && A[0] == '-')
+      return Flag::Usage;
+    Jobs.push_back(FileJob{A, false, {}});
+    return Flag::Taken;
+  });
+  if (RC >= 0)
+    return RC;
+  if (Jobs.empty()) {
+    usage(argv[0]);
+    return 2;
   }
-  if (Jobs.empty())
-    return usage();
 
   std::atomic<size_t> Next{0};
   WorkerArgs WA{&Jobs, &Next, &Opts};

@@ -18,14 +18,12 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
 
 using ac::service::Client;
 using ac::support::Json;
-using ac::tools::parseNum;
 
 namespace {
 
@@ -152,42 +150,24 @@ int main(int argc, char **argv) {
   bool Once = false;
   bool AsJson = false;
 
-  for (int I = 1; I < argc; ++I) {
-    std::string Arg = argv[I];
-    auto Next = [&]() -> const char * {
-      return I + 1 < argc ? argv[++I] : nullptr;
-    };
-    unsigned N = 0;
-    if (Arg == "--router") {
-      const char *V = Next();
-      if (!V) {
-        usage(argv[0]);
-        return 2;
-      }
-      RouterAddr = V;
-    } else if (Arg == "--auth-token-file") {
-      const char *V = Next();
-      if (!V || !ac::service::readTokenFile(V, Token)) {
-        std::fprintf(stderr, "actop: cannot read auth token file\n");
-        return 2;
-      }
-    } else if (Arg == "--interval-ms" && parseNum(Next(), N, 1)) {
-      IntervalMs = N;
-    } else if (Arg == "--top" && parseNum(Next(), N, 1)) {
-      TopK = N;
-    } else if (Arg == "--once") {
-      Once = true;
-    } else if (Arg == "--json") {
-      AsJson = true;
-    } else if (Arg == "--help" || Arg == "-h") {
-      usage(argv[0]);
-      return 0;
-    } else {
-      std::fprintf(stderr, "actop: bad argument `%s`\n", Arg.c_str());
-      usage(argv[0]);
-      return 2;
-    }
-  }
+  ac::tools::DaemonFlags Flags("actop", usage, argc, argv);
+  int RC = Flags.parse([&](const std::string &Arg) {
+    if (Arg == "--router")
+      return Flags.str(RouterAddr);
+    if (Arg == "--auth-token-file")
+      return Flags.token(Token, "auth");
+    if (Arg == "--interval-ms")
+      return Flags.num(IntervalMs, 1);
+    if (Arg == "--top")
+      return Flags.num(TopK, 1);
+    if (Arg == "--once")
+      return Flags.set(Once);
+    if (Arg == "--json")
+      return Flags.set(AsJson);
+    return ac::tools::Flag::Unknown;
+  });
+  if (RC >= 0)
+    return RC;
   if (RouterAddr.empty()) {
     usage(argv[0]);
     return 2;

@@ -13,11 +13,11 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "daemon_main.h"
 #include "service/Client.h"
 #include "support/TraceMerge.h"
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -45,35 +45,19 @@ int main(int argc, char **argv) {
   std::string Token;
   std::vector<std::string> Addrs;
 
-  for (int I = 1; I < argc; ++I) {
-    std::string Arg = argv[I];
-    auto Next = [&]() -> const char * {
-      return I + 1 < argc ? argv[++I] : nullptr;
-    };
-    if (Arg == "--out") {
-      const char *V = Next();
-      if (!V) {
-        usage(argv[0]);
-        return 2;
-      }
-      OutPath = V;
-    } else if (Arg == "--auth-token-file") {
-      const char *V = Next();
-      if (!V || !ac::service::readTokenFile(V, Token)) {
-        std::fprintf(stderr, "actrace: cannot read auth token file\n");
-        return 2;
-      }
-    } else if (Arg == "--help" || Arg == "-h") {
-      usage(argv[0]);
-      return 0;
-    } else if (!Arg.empty() && Arg[0] == '-') {
-      std::fprintf(stderr, "actrace: bad argument `%s`\n", Arg.c_str());
-      usage(argv[0]);
-      return 2;
-    } else {
-      Addrs.push_back(Arg);
-    }
-  }
+  ac::tools::DaemonFlags Flags("actrace", usage, argc, argv);
+  int RC = Flags.parse([&](const std::string &Arg) {
+    if (Arg == "--out")
+      return Flags.str(OutPath);
+    if (Arg == "--auth-token-file")
+      return Flags.token(Token, "auth");
+    if (!Arg.empty() && Arg[0] == '-')
+      return ac::tools::Flag::Unknown;
+    Addrs.push_back(Arg);
+    return ac::tools::Flag::Taken;
+  });
+  if (RC >= 0)
+    return RC;
   if (Addrs.empty()) {
     usage(argv[0]);
     return 2;
