@@ -15,7 +15,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/AutoCorres.h"
-#include "corpus/Synthetic.h"
+#include "corpus/Sources.h"
 #include "support/Trace.h"
 
 #include <chrono>
@@ -67,21 +67,12 @@ int main(int argc, char **argv) {
   if (Iters == 0)
     Iters = 1;
 
-  corpus::SyntheticSpec Spec;
-  if (Corpus == "sel4")
-    Spec = corpus::sel4Scale();
-  else if (Corpus == "capdl")
-    Spec = corpus::capdlScale();
-  else if (Corpus == "piccolo")
-    Spec = corpus::piccoloScale();
-  else if (Corpus == "echronos")
-    Spec = corpus::echronosScale();
-  else {
+  std::string Src;
+  if (!corpus::namedSource(Corpus, Src)) {
     std::fprintf(stderr, "phase_times: unknown corpus `%s`\n",
                  Corpus.c_str());
     return 2;
   }
-  std::string Src = corpus::generateSyntheticProgram(Spec);
 
   support::Trace::start();
   double WallS = 0;

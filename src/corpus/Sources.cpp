@@ -1,8 +1,36 @@
 //===- Sources.cpp --------------------------------------------------------===//
 
 #include "corpus/Sources.h"
+#include "corpus/Synthetic.h"
+
+#include <map>
 
 using namespace ac::corpus;
+
+bool ac::corpus::namedSource(const std::string &Name, std::string &Out) {
+  static const std::map<std::string, const char *(*)()> Fixed = {
+      {"max", maxSource},
+      {"gcd", gcdSource},
+      {"swap", swapSource},
+      {"midpoint", midpointSource},
+      {"binary_search", binarySearchSource},
+      {"suzuki", suzukiSource},
+      {"memset", memsetSource},
+      {"reverse", reverseSource},
+      {"schorr_waite", schorrWaiteSource}};
+  static const std::map<std::string, SyntheticSpec (*)()> Scaled = {
+      {"sel4", sel4Scale},
+      {"capdl", capdlScale},
+      {"piccolo", piccoloScale},
+      {"echronos", echronosScale}};
+  if (auto It = Fixed.find(Name); It != Fixed.end())
+    Out = It->second();
+  else if (auto It = Scaled.find(Name); It != Scaled.end())
+    Out = generateSyntheticProgram(It->second());
+  else
+    return false;
+  return true;
+}
 
 const char *ac::corpus::maxSource() {
   return "int max(int a, int b) {\n"

@@ -17,6 +17,8 @@
 #ifndef AC_CORPUS_SOURCES_H
 #define AC_CORPUS_SOURCES_H
 
+#include <string>
+
 namespace ac::corpus {
 
 const char *maxSource();
@@ -28,6 +30,12 @@ const char *suzukiSource();
 const char *memsetSource();
 const char *reverseSource();
 const char *schorrWaiteSource();
+
+/// The corpus \p Name names (`acc --corpus`, bench/phase_times): max gcd
+/// swap midpoint binary_search suzuki memset reverse schorr_waite, or a
+/// Table 5 scale of the synthetic generator: sel4 capdl piccolo
+/// echronos. False, leaving \p Out alone, for any other name.
+bool namedSource(const std::string &Name, std::string &Out);
 
 } // namespace ac::corpus
 
