@@ -29,8 +29,6 @@ static const FaultSite FaultRouterForward("router.forward.fail");
 
 Router::Router(RouterOptions O)
     : Opts(std::move(O)), Frames(Opts, "acrouter", "router") {
-  if (Opts.VirtualNodes == 0)
-    Opts.VirtualNodes = 1;
   if (Opts.MaxInFlightPerShard == 0)
     Opts.MaxInFlightPerShard = 1;
   using ConnRef = service::FrameServer::ConnRef;
@@ -94,9 +92,9 @@ bool Router::start() {
   for (const std::string &Addr : Opts.Shards)
     ShardList.push_back(std::make_unique<ShardState>(Addr));
   // The ring hashes by shard *address*, so the mapping is stable under
-  // reordering of --shard flags.
+  // reordering of --shard flags. 64 points per shard keep the arcs even.
   for (size_t I = 0; I != ShardList.size(); ++I)
-    for (unsigned V = 0; V != Opts.VirtualNodes; ++V) {
+    for (unsigned V = 0; V != 64; ++V) {
       Fingerprint FP;
       FP.str(ShardList[I]->Addr);
       FP.u32(V);

@@ -60,9 +60,6 @@ struct RouterOptions : service::ListenOptions {
   std::string ShardToken;
   /// Shard addresses, "host:port" each. At least one.
   std::vector<std::string> Shards;
-  /// Virtual nodes per shard on the hash ring; more nodes = smoother
-  /// key distribution when shards join/leave.
-  unsigned VirtualNodes = 64;
   /// Bounded in-flight window per shard: forwards beyond it answer
   /// `busy` + RetryAfterMs instead of stacking onto a loaded shard.
   unsigned MaxInFlightPerShard = 8;

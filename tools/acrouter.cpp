@@ -34,7 +34,6 @@ void usage(const char *Argv0) {
       "  --auth-token-file F require the shared token in F on every\n"
       "                      client TCP connection\n"
       "  --shard-token-file F token presented when dialing shards\n"
-      "  --virtual-nodes N   ring points per shard (default: 64)\n"
       "  --window N          max in-flight forwards per shard before\n"
       "                      answering busy (default: 8)\n"
       "  --retry-after-ms N  retry hint on busy answers (default: 50)\n"
@@ -64,8 +63,6 @@ int main(int argc, char **argv) {
     }
     if (Arg == "--shard-token-file")
       return Flags.token(Opts.ShardToken, "shard");
-    if (Arg == "--virtual-nodes")
-      return Flags.num(Opts.VirtualNodes, 1);
     if (Arg == "--window")
       return Flags.num(Opts.MaxInFlightPerShard, 1);
     if (Arg == "--retry-after-ms")
