@@ -16,10 +16,7 @@
 #include "core/AutoCorres.h"
 #include "corpus/Sources.h"
 #include "corpus/Synthetic.h"
-#include "heapabs/HeapAbs.h"
-#include "hol/Thm.h"
 #include "support/RuleProfile.h"
-#include "wordabs/WordAbs.h"
 
 #include <cstdio>
 #include <string>
@@ -53,21 +50,9 @@ int main(int argc, char **argv) {
   if (Failed)
     std::fprintf(stderr, "rule_profile: %u corpus runs failed\n", Failed);
 
-  // Zero-fire rules are data too: fill in the standard families the
-  // corpus may not have minted, then give every registered WA./HL.
-  // axiom a row so "never fired on this corpus" is visible in the table.
-  wordabs::WordAbstraction::registerStandardRules();
-  heapabs::HeapAbstraction::registerStandardRules();
-  unsigned WA = 0, HL = 0;
-  for (const auto &[N, P] : hol::Inventory::instance().axioms()) {
-    if (N.rfind("WA.", 0) == 0) {
-      ++WA;
-      support::RuleProfile::preregister(N);
-    } else if (N.rfind("HL.", 0) == 0) {
-      ++HL;
-      support::RuleProfile::preregister(N);
-    }
-  }
+  // Zero-fire rules are data too: every registered WA./HL. rule gets a
+  // row, so "never fired on this corpus" is visible in the table.
+  auto [WA, HL] = core::AutoCorres::preregisterRules();
 
   std::fputs(support::RuleProfile::table().c_str(), stdout);
 

@@ -151,7 +151,7 @@ std::unique_ptr<AutoCorres> AutoCorres::run(const std::string &Source,
   // and the summed CPU time are identical under any schedule.
   std::vector<DiagEngine> FnDiags(Order.size());
   std::vector<double> FnCpuSeconds(Order.size(), 0);
-  std::mutex OutputM; // guards AC->L1 / AC->L2 / AC->Funcs insertions
+  std::mutex OutputM; // guards AC->Funcs insertions
 
   // Content-addressed abstraction cache (opt-in): replay every function
   // whose fingerprint — definition tokens, program-wide declarations,
@@ -321,8 +321,6 @@ std::unique_ptr<AutoCorres> AutoCorres::run(const std::string &Source,
 
     FnCpuSeconds[OrderIdx] = threadCpuSeconds() - C0;
     std::lock_guard<std::mutex> L(OutputM);
-    AC->L1.emplace(Name, std::move(L1R));
-    AC->L2.emplace(Name, std::move(L2R));
     AC->Funcs.emplace(Name, std::move(Out));
   };
 
@@ -460,14 +458,8 @@ std::unique_ptr<AutoCorres> AutoCorres::run(const std::string &Source,
 
   if (!TracePath.empty()) {
     // The dumped profile covers the whole registered rule inventory, not
-    // just the rules this input happened to exercise: fill in the
-    // standard per-width/per-type families the run may not have minted,
-    // then merge every WA./HL. axiom in as a zero row before flushing.
-    wordabs::WordAbstraction::registerStandardRules();
-    heapabs::HeapAbstraction::registerStandardRules();
-    for (const auto &[N, P] : Inventory::instance().axioms())
-      if (N.rfind("WA.", 0) == 0 || N.rfind("HL.", 0) == 0)
-        support::RuleProfile::preregister(N);
+    // just the rules this input happened to exercise.
+    preregisterRules();
     if (!support::Trace::flush(TracePath))
       support::Log::warn("trace.write_failed", {{"path", TracePath}});
     // A run-local trace (Opts.TracePath without ambient AC_TRACE) must
@@ -520,6 +512,20 @@ unsigned FuncOutput::finalSpecLines() const {
 }
 unsigned FuncOutput::finalTermSize() const {
   return Cached ? Cached->TermSize : termSize(finalBody());
+}
+
+std::pair<unsigned, unsigned> AutoCorres::preregisterRules() {
+  wordabs::WordAbstraction::registerStandardRules();
+  heapabs::HeapAbstraction::registerStandardRules();
+  unsigned WA = 0, HL = 0;
+  for (const auto &[N, P] : Inventory::instance().axioms()) {
+    bool IsWA = N.rfind("WA.", 0) == 0;
+    if (!IsWA && N.rfind("HL.", 0) != 0)
+      continue;
+    ++(IsWA ? WA : HL);
+    support::RuleProfile::preregister(N);
+  }
+  return {WA, HL};
 }
 
 std::string AutoCorres::render(const std::string &Name) const {

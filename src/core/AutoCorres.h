@@ -231,13 +231,17 @@ public:
   /// `name' arg1 ... argn == <body>`.
   std::string render(const std::string &Name) const;
 
+  /// Fills in the standard word- and heap-abstraction rule families and
+  /// gives every registered WA. and HL. rule a row in the rule profile
+  /// (when it is on), so rules that never fired show up too. Returns the
+  /// number of WA. and HL. rules.
+  static std::pair<unsigned, unsigned> preregisterRules();
+
 private:
   AutoCorres() : Ctx(nullptr) {}
 
   std::unique_ptr<simpl::SimplProgram> Prog;
   monad::InterpCtx Ctx;
-  std::map<std::string, monad::L1Result> L1;
-  std::map<std::string, monad::L2Result> L2;
   std::unique_ptr<heapabs::HeapAbstraction> HL;
   std::unique_ptr<wordabs::WordAbstraction> WA;
   std::map<std::string, FuncOutput> Funcs;

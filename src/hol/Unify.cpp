@@ -97,10 +97,6 @@ void Subst::bindTy(const std::string &Name, TypeRef T) {
 void Subst::bind(const std::string &Name, unsigned Index, TermRef T) {
   TmMap[{Name, Index}] = std::move(T);
 }
-const TypeRef *Subst::lookupTy(const std::string &Name) const {
-  auto It = TyMap.find(Name);
-  return It == TyMap.end() ? nullptr : &It->second;
-}
 const TermRef *Subst::lookup(const std::string &Name, unsigned Index) const {
   auto It = TmMap.find({Name, Index});
   return It == TmMap.end() ? nullptr : &It->second;
@@ -377,20 +373,4 @@ TermRef ac::hol::freshenSchematics(const TermRef &T, unsigned Offset) {
                        freshenSchematics(T->argTerm(), Offset));
   }
   return T;
-}
-
-unsigned ac::hol::maxSchematicIndex(const TermRef &T) {
-  if (!T->hasSchematic())
-    return 0;
-  switch (T->kind()) {
-  case Term::Kind::Var:
-    return T->index();
-  case Term::Kind::Lam:
-    return maxSchematicIndex(T->body());
-  case Term::Kind::App:
-    return std::max(maxSchematicIndex(T->fun()),
-                    maxSchematicIndex(T->argTerm()));
-  default:
-    return 0;
-  }
 }

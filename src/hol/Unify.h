@@ -37,7 +37,6 @@ public:
   void bindTy(const std::string &Name, TypeRef T);
   void bind(const std::string &Name, unsigned Index, TermRef T);
 
-  const TypeRef *lookupTy(const std::string &Name) const;
   const TermRef *lookup(const std::string &Name, unsigned Index) const;
 
   bool empty() const { return TyMap.empty() && TmMap.empty(); }
@@ -72,9 +71,6 @@ std::optional<Subst> matchTerm(const TermRef &Pattern, const TermRef &T);
 /// Renames every schematic (term and type) variable in \p T by adding
 /// \p Offset to its index, avoiding capture during self-resolution.
 TermRef freshenSchematics(const TermRef &T, unsigned Offset);
-
-/// Largest schematic index occurring in \p T (0 if none).
-unsigned maxSchematicIndex(const TermRef &T);
 
 } // namespace ac::hol
 
