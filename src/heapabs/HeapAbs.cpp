@@ -1244,23 +1244,6 @@ HLResult &HeapAbstraction::abstractFunction(const simpl::SimplFunc &F,
         Def = lambdaFree(L2.ArgNames[I], L2.ArgTys[I], Def);
       Res.Def = Def;
       Ctx.installDef("hl:" + F.Name, Def);
-      // Constant-level corres for call sites and reporting.
-      std::vector<TermRef> ArgFrees;
-      for (size_t I = 0; I != L2.ArgNames.size(); ++I)
-        ArgFrees.push_back(
-            Term::mkFree(L2.ArgNames[I], L2.ArgTys[I]));
-      TypeRef RetTy = F.RetTy ? F.RetTy : unitTy();
-      TypeRef E = RetTy;
-      TermRef HLC = Term::mkConst(
-          "hl:" + F.Name,
-          funTys(L2.ArgTys, monadTy(liftedTy(), RetTy, E)));
-      TermRef L2C = monad::l2FuncConst(Prog, F, E);
-      TermRef Prop = mkAbsHStmt(
-          mkApps(HLC, ArgFrees), mkApps(L2C, ArgFrees),
-          monadTy(liftedTy(), RetTy, E), monadTy(globTy(), RetTy, E));
-      for (size_t I = L2.ArgNames.size(); I-- > 0;)
-        Prop = mkAll(L2.ArgNames[I], L2.ArgTys[I], Prop);
-      Res.CorresConst = Kernel::oracle("function_definition", Prop);
     }
   }
   if (!Res.Lifted) {

@@ -47,7 +47,6 @@ struct HLResult {
   hol::TermRef Def;     ///< %args. body over lifted_globals
   hol::TermRef AppliedBody;
   hol::Thm Corres;      ///< abs_h_stmt <applied body> <applied l2 body>
-  hol::Thm CorresConst; ///< ALL args. abs_h_stmt (hl:f args) (l2:f args)
 };
 
 /// The heap-abstraction engine for one program.

@@ -166,9 +166,9 @@ TEST_P(Fig8Test, TranslatesWithAuditableTrustedBase) {
   ASSERT_TRUE(AC);
   ASSERT_FALSE(AC->order().empty());
   static const std::set<std::string> KnownOracles = {
-      "monadic_conversion", "local_var_lifting", "function_definition",
-      "heap_abs_call",      "word_abs_call",     "refinement_composition",
-      "ground_eval",        "auto"};
+      "monadic_conversion", "local_var_lifting",      "heap_abs_call",
+      "word_abs_call",      "refinement_composition", "ground_eval",
+      "auto"};
   for (const std::string &Fn : AC->order()) {
     const core::FuncOutput *F = AC->func(Fn);
     ASSERT_NE(F, nullptr);
