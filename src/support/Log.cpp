@@ -8,7 +8,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <mutex>
 
 namespace ac::support {
@@ -46,22 +45,7 @@ Sink &sink() {
 
 } // namespace
 
-void Log::ensureInit() {
-  static const bool Inited = [] {
-    if (const char *L = getenv("AC_LOG"); L && *L) {
-      LogLevel Lv;
-      if (parseLevel(L, Lv))
-        MinLevel.store(static_cast<int>(Lv), std::memory_order_relaxed);
-    }
-    if (const char *P = getenv("AC_LOG_FILE"); P && *P)
-      (void)setFile(P);
-    return true;
-  }();
-  (void)Inited;
-}
-
 void Log::setLevel(LogLevel L) {
-  ensureInit();
   MinLevel.store(static_cast<int>(L), std::memory_order_relaxed);
 }
 

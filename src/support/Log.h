@@ -15,10 +15,11 @@
 ///    "path":"/x/cache.acc","reason":"crc"}
 ///
 /// The sink defaults to stderr (stdout stays reserved for specs and
-/// other tool output) and can be redirected with `AC_LOG_FILE=<path>` or
-/// `--log-file`. The minimum level defaults to info and is set with
-/// `AC_LOG=debug|info|warn|error|off`. Level filtering is one relaxed
-/// atomic load; field Json is only assembled for events that pass.
+/// other tool output) and can be redirected with `--log-file`. The
+/// minimum level defaults to info and is set with the daemons'
+/// `--log-level debug|info|warn|error|off`. Level filtering is one
+/// relaxed atomic load; field Json is only assembled for events that
+/// pass.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,7 +41,6 @@ class Log {
 public:
   /// True iff an event at \p L would be written.
   static bool on(LogLevel L) {
-    ensureInit();
     return static_cast<int>(L) >= MinLevel.load(std::memory_order_relaxed);
   }
 
@@ -85,8 +85,6 @@ public:
   }
 
 private:
-  /// Reads AC_LOG / AC_LOG_FILE exactly once.
-  static void ensureInit();
   static std::atomic<int> MinLevel;
 };
 

@@ -10,7 +10,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <mutex>
 #include <vector>
 
@@ -36,17 +35,7 @@ thread_local uint64_t ChildNs = 0;
 
 } // namespace
 
-void RuleProfile::ensureInit() {
-  static const bool Inited = [] {
-    if (const char *P = getenv("AC_RULE_PROFILE"); P && *P && *P != '0')
-      Armed.store(true, std::memory_order_relaxed);
-    return true;
-  }();
-  (void)Inited;
-}
-
 void RuleProfile::setEnabled(bool On) {
-  ensureInit();
   Armed.store(On, std::memory_order_relaxed);
 }
 

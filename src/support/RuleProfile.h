@@ -18,8 +18,8 @@
 ///   if (ok) RT.hit();               // otherwise it records a miss
 ///
 /// Profiling is armed whenever tracing is (Trace enables it so the trace
-/// export can embed the table), by `AC_RULE_PROFILE=1`, or
-/// programmatically. Disarmed, a RuleTimer is one relaxed atomic load —
+/// export can embed the table) or programmatically (`acc
+/// --rule-profile`). Disarmed, a RuleTimer is one relaxed atomic load —
 /// dynamic rule names are built through the lambda constructor only when
 /// armed, so the off path allocates nothing.
 ///
@@ -45,10 +45,7 @@ public:
   };
 
   /// True iff rule attempts are being recorded.
-  static bool enabled() {
-    ensureInit();
-    return Armed.load(std::memory_order_relaxed);
-  }
+  static bool enabled() { return Armed.load(std::memory_order_relaxed); }
 
   static void setEnabled(bool On);
 
@@ -72,7 +69,6 @@ public:
   static void record(const std::string &Name, bool Fired, uint64_t SelfNs);
 
 private:
-  static void ensureInit();
   static std::atomic<bool> Armed;
 };
 

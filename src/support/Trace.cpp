@@ -202,14 +202,8 @@ bool writeFile(const std::string &Path, const std::string &Text) {
 
 void Trace::ensureInit() {
   static const bool Inited = [] {
-    Registry &R = reg();
-    if (const char *Cap = getenv("AC_TRACE_BUF")) {
-      long V = atol(Cap);
-      if (V > 0)
-        R.RingCap = static_cast<size_t>(V);
-    }
     if (const char *P = getenv("AC_TRACE"); P && *P) {
-      R.EnvPath = P;
+      reg().EnvPath = P;
       RuleProfile::setEnabled(true);
       Enabled.store(true, std::memory_order_relaxed);
     }

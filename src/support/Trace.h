@@ -148,7 +148,7 @@ public:
 private:
   friend class Span;
 
-  /// Parses AC_TRACE / AC_TRACE_BUF exactly once.
+  /// Parses AC_TRACE exactly once.
   static void ensureInit();
 
   static std::atomic<bool> Enabled;

@@ -58,9 +58,8 @@ void usage(const char *Argv0) {
       "                     DIR/<trace_id>.acpc, checkable with `acpc`\n"
       "                     (best-effort)\n"
       "  --log-file PATH    append structured JSONL log lines to PATH\n"
-      "                     (default: stderr; also $AC_LOG_FILE)\n"
-      "  --log-level LVL    debug|info|warn|error|off (default: info;\n"
-      "                     also $AC_LOG)\n",
+      "                     (default: stderr)\n"
+      "  --log-level LVL    debug|info|warn|error|off (default: info)\n",
       Argv0);
 }
 
