@@ -86,8 +86,8 @@ CaseStudyReport ac::corpus::verifyListReversal() {
       lambdaFree("s!post", S,
                  LT.list(VOf(SV2), HOf(SV2), RVf, RevPs)));
 
-  // M&N's invariant, adapted: EX ps qs. List v H list ps /\
-  //   List v H rev qs /\ disjnt ps qs /\ rev Ps = rev ps @ qs.
+  // M&N's invariant, adapted: EX ps qs. List v H list ps
+  //   /\ List v H rev qs /\ disjnt ps qs /\ rev Ps = rev ps @ qs.
   TermRef IterV = Term::mkFree("it!", IterTy);
   TermRef SV3 = Term::mkFree("s!inv", S);
   TermRef ListVar = mkFst(IterV);

@@ -14,8 +14,9 @@ std::unique_ptr<TranslationUnit> parseOk(const std::string &Src) {
   DiagEngine Diags;
   auto TU = parseTranslationUnit(Src, Diags);
   EXPECT_TRUE(TU != nullptr) << Diags.str();
-  if (TU)
+  if (TU) {
     EXPECT_TRUE(checkTranslationUnit(*TU, Diags)) << Diags.str();
+  }
   return TU;
 }
 

@@ -57,7 +57,7 @@ struct HLPipeline {
 /// world's object addresses plus a few invalid ones, and compare plain
 /// globals directly.
 bool liftedEq(const Value &A, const Value &B, const LiftedGlobals &LG,
-              const TestWorld &W, InterpCtx &Ctx) {
+              const TestWorld &W) {
   for (const TypeRef &T : LG.HeapTypes) {
     std::vector<uint32_t> Probes = {0, 2, 0xfffffffc};
     if (const auto *Objs = W.objectsOf(typeStr(T)))
@@ -126,7 +126,7 @@ Diff checkHLOnce(HLPipeline &P, const std::string &Fn, Rng &R) {
   if (CRes.IsExn != ARes.IsExn || !Value::equal(CRes.V, ARes.V))
     return Diff::Mismatch;
   Value LiftedFinal = Ctx.LiftGlobalHeap(CRes.State, Ctx);
-  return liftedEq(LiftedFinal, ARes.State, P.HL->lifted(), W, Ctx)
+  return liftedEq(LiftedFinal, ARes.State, P.HL->lifted(), W)
              ? Diff::Ok
              : Diff::Mismatch;
 }

@@ -259,7 +259,8 @@ TEST(HashCons, ConcurrentInternStress) {
   std::set<const Term *> Nodes;
   for (unsigned T = 0; T != NThreads; ++T)
     for (const TermRef &P : Private[T])
-      if (Nodes.insert(P.get()).second)
+      if (Nodes.insert(P.get()).second) {
         ASSERT_TRUE(Ids.insert(P->id()).second)
             << "concurrently interned nodes share id " << P->id();
+      }
 }

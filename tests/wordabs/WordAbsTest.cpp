@@ -323,7 +323,8 @@ TEST(WordAbs, Table2IdentitiesHoldAfterAbstraction) {
     // ...but always true on the ideal image.
     unsigned long long Ideal = static_cast<unsigned long long>(U) + 1;
     EXPECT_TRUE(Ideal > U);
-    if (U == 0xffffffffu)
+    if (U == 0xffffffffu) {
       EXPECT_FALSE(WordHolds);
+    }
   }
 }
