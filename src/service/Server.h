@@ -144,9 +144,8 @@ public:
   /// address); 0 when no TCP listener is configured.
   uint16_t tcpPort() const { return Frames.tcpPort(); }
 
-  /// Live queue depth / in-flight gauges (for tests and stats).
+  /// Live queue depth (for stats).
   size_t queueDepth() const;
-  size_t inFlight() const { return InFlight.load(); }
 
 private:
   struct Request;
