@@ -29,8 +29,9 @@ int main() {
     core::AutoCorres::run(Src, Diags);
   }
 
+  const std::map<std::string, TermRef> Axs = Inventory::instance().axioms();
   std::map<std::string, unsigned> Groups;
-  for (const auto &[Name, Prop] : Inventory::instance().axioms()) {
+  for (const auto &[Name, Prop] : Axs) {
     std::string Group = Name.substr(0, Name.find('.'));
     Groups[Group]++;
   }
@@ -42,7 +43,6 @@ int main() {
   for (const char *Name :
        {"WA.triv", "WA.bind", "WA.return", "WA.nat_plus_pp.32",
         "WA.nat_div_pp.32", "WA.while"}) {
-    auto &Axs = Inventory::instance().axioms();
     auto It = Axs.find(Name);
     if (It != Axs.end())
       printf("  [%s]\n    %s\n", Name,
@@ -53,7 +53,6 @@ int main() {
   for (const char *Name : {"HL.bind", "HL.gets", "HL.modify",
                            "HL.ptr_guard.w32", "HL.read.node_C",
                            "HL.write.node_C"}) {
-    auto &Axs = Inventory::instance().axioms();
     auto It = Axs.find(Name);
     if (It != Axs.end())
       printf("  [%s]\n    %s\n", Name,

@@ -21,11 +21,18 @@
 /// under one name — a cache that handed back the wrong Thm for a name
 /// could only exist if the uncached code was already broken.
 ///
+/// A rule minted while a request generation is current lives in the
+/// generation's overlay and dies with it (hol/Generation.h). Inside a
+/// generation, a base entry is used only if it predates the generation:
+/// a base rule minted later by an unscoped thread may duplicate nodes
+/// the generation already built.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef AC_HOL_RULECACHE_H
 #define AC_HOL_RULECACHE_H
 
+#include "hol/Generation.h"
 #include "hol/Thm.h"
 #include "support/RuleProfile.h"
 
@@ -45,12 +52,15 @@ public:
   /// harmless (Kernel::axiom is idempotent per name) and keeps Make —
   /// which re-enters the kernel — outside the cache lock.
   template <typename MakeFn> Thm get(const std::string &Name, MakeFn Make) {
+    Generation *G = Generation::current();
     {
       std::lock_guard<std::mutex> L(M);
       auto It = Map.find(Name);
-      if (It != Map.end())
+      if (It != Map.end() && (!G || G->predates(It->second.prop())))
         return It->second;
     }
+    if (G)
+      return G->mint(Name, Make);
     Thm T = Make();
     std::lock_guard<std::mutex> L(M);
     return Map.emplace(Name, std::move(T)).first->second;

@@ -3,6 +3,7 @@
 #include "hol/Thm.h"
 
 #include "hol/Cert.h"
+#include "hol/Generation.h"
 #include "hol/Print.h"
 
 #include <cstdio>
@@ -23,14 +24,62 @@ Inventory &Inventory::instance() {
 }
 
 void Inventory::registerAxiom(const std::string &Name, const TermRef &Prop) {
-  std::lock_guard<std::mutex> L(M);
-  auto It = Axioms.find(Name);
-  if (It != Axioms.end()) {
-    assert(termEq(It->second, Prop) &&
-           "axiom re-registered with a different proposition");
-    return;
+  Generation *G = Generation::current();
+  {
+    std::lock_guard<std::mutex> L(M);
+    auto It = Axioms.find(Name);
+    if (It != Axioms.end()) {
+      assert(termEq(It->second, Prop) &&
+             "axiom re-registered with a different proposition");
+      return;
+    }
+    if (!G) {
+      Axioms.emplace(Name, Prop);
+      return;
+    }
   }
-  Axioms.emplace(Name, Prop);
+  G->registerAxiom(Name, Prop);
+}
+
+bool Inventory::hasAxiom(const std::string &Name) const {
+  {
+    std::lock_guard<std::mutex> L(M);
+    if (Axioms.count(Name))
+      return true;
+  }
+  const Generation *G = Generation::current();
+  return G && G->hasAxiom(Name);
+}
+
+std::map<std::string, TermRef> Inventory::axioms() const {
+  std::map<std::string, TermRef> All;
+  {
+    std::lock_guard<std::mutex> L(M);
+    All = Axioms;
+  }
+  if (const Generation *G = Generation::current())
+    G->addAxioms(All);
+  return All;
+}
+
+void Generation::registerAxiom(const std::string &Name,
+                               const TermRef &Prop) {
+  std::lock_guard<std::mutex> L(M);
+  auto [It, Fresh] = Axioms.emplace(Name, Prop);
+  assert((Fresh || termEq(It->second, Prop)) &&
+         "axiom re-registered with a different proposition");
+  (void)It;
+  (void)Fresh;
+}
+
+bool Generation::hasAxiom(const std::string &Name) const {
+  std::lock_guard<std::mutex> L(M);
+  return Axioms.count(Name) != 0;
+}
+
+void Generation::addAxioms(std::map<std::string, TermRef> &Into) const {
+  std::lock_guard<std::mutex> L(M);
+  Into.insert(Axioms.begin(), Axioms.end());
 }
 
 void Inventory::noteOracle(const std::string &Name) {

@@ -107,9 +107,11 @@ private:
 
 /// Global registry of axioms (name -> proposition) and oracle names.
 /// Registration is thread-safe (the parallel abstraction pipeline mints
-/// axioms and oracles from every worker); the enumeration accessors
-/// return the containers directly and are meant for single-threaded
-/// auditing after a run completes.
+/// axioms and oracles from every worker). An axiom first registered
+/// while a request generation is current goes to that generation's
+/// overlay and dies with it (hol/Generation.h); the queries below see
+/// the base and the current overlay. oracles() returns the container
+/// directly and is meant for single-threaded auditing after a run.
 class Inventory {
 public:
   static Inventory &instance();
@@ -119,12 +121,9 @@ public:
   void registerAxiom(const std::string &Name, const TermRef &Prop);
   void noteOracle(const std::string &Name);
 
-  const std::map<std::string, TermRef> &axioms() const { return Axioms; }
+  std::map<std::string, TermRef> axioms() const;
   const std::set<std::string> &oracles() const { return Oracles; }
-  bool hasAxiom(const std::string &Name) const {
-    std::lock_guard<std::mutex> L(M);
-    return Axioms.count(Name) != 0;
-  }
+  bool hasAxiom(const std::string &Name) const;
 
 private:
   mutable std::mutex M;

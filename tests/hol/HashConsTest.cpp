@@ -12,13 +12,20 @@
 //     type arena both;
 //   * thread safety: 8 threads racing to intern the same and distinct
 //     structures agree on canonical nodes and never duplicate ids
-//     (scripts/tier1.sh replays this suite under ThreadSanitizer).
+//     (scripts/tier1.sh replays this suite under ThreadSanitizer and
+//     AddressSanitizer);
+//   * request generations (hol/Generation.h): a scope resolves what the
+//     base holds to the base node, builds the rest in the scope, and
+//     frees it, with the axioms and rules minted in it, when it closes.
 //
 // The generators are seeded PRNGs, so every run checks the same terms.
 //
 //===----------------------------------------------------------------------===//
 
 #include "hol/Builder.h"
+#include "hol/Generation.h"
+#include "hol/Print.h"
+#include "hol/RuleCache.h"
 #include "hol/Term.h"
 
 #include <gtest/gtest.h>
@@ -263,4 +270,147 @@ TEST(HashCons, ConcurrentInternStress) {
         ASSERT_TRUE(Ids.insert(P->id()).second)
             << "concurrently interned nodes share id " << P->id();
       }
+}
+
+//===----------------------------------------------------------------------===//
+// Request generations
+//===----------------------------------------------------------------------===//
+
+/// Inside a scope, a structure the base holds resolves to the base node,
+/// and nothing new is built for it.
+TEST(HashCons, ScopeResolvesBaseNodes) {
+  Rng R1(0xac5eed07), R2(0xac5eed07);
+  std::vector<TermRef> Base;
+  for (int I = 0; I != 300; ++I)
+    Base.push_back(randomTerm(R1, 3));
+  size_t Before = internedTermCount();
+  GenerationScope Scope;
+  for (int I = 0; I != 300; ++I)
+    ASSERT_EQ(randomTerm(R2, 3).get(), Base[I].get()) << "iteration " << I;
+  EXPECT_EQ(internedTermCount(), Before);
+}
+
+/// A node first built in a scope is the scope's alone: the count read
+/// outside is unchanged once it closes, and building the structure again
+/// makes a new base node.
+TEST(HashCons, ScopeNodesDieWithTheScope) {
+  auto Build = [] {
+    return Term::mkApp(Term::mkFree("scoped_f", natTy()),
+                       Term::mkNum(1234567, natTy()));
+  };
+  size_t Before = internedTermCount();
+  uint64_t ScopedId;
+  {
+    GenerationScope Scope;
+    TermRef T = Build();
+    ScopedId = T->id();
+    EXPECT_EQ(Build().get(), T.get());
+    EXPECT_EQ(internedTermCount(), Before + 3);
+  }
+  EXPECT_EQ(internedTermCount(), Before);
+  TermRef Again = Build();
+  EXPECT_GT(Again->id(), ScopedId);
+  EXPECT_EQ(internedTermCount(), Before + 3);
+}
+
+/// A structure a scope built before an unscoped thread built it in the
+/// base keeps resolving to the scope's node, and so does a structure over
+/// it.
+TEST(HashCons, ScopeKeepsItsNodeWhenTheBaseBuildsItLater) {
+  auto Build = [] {
+    return Term::mkApp(Term::mkConst("late_k", boolTy()),
+                       Term::mkNum(2345678, natTy()));
+  };
+  GenerationScope Scope;
+  TermRef Mine = Build();
+  TermRef Theirs;
+  std::thread([&] { Theirs = Build(); }).join();
+  EXPECT_NE(Theirs.get(), Mine.get());
+  EXPECT_EQ(Build().get(), Mine.get());
+  TermRef Over = Term::mkApp(Term::mkFree("late_g", boolTy()), Build());
+  EXPECT_EQ(Over->argTerm().get(), Mine.get());
+}
+
+/// Four threads entering one scope build one node per structure: they
+/// agree on every node, and the scope holds exactly the nodes they reach
+/// that were built after it opened. Under TSan this race-checks interning
+/// into one generation; under ASan, reading a node after its scope closed.
+TEST(HashCons, ThreadsInOneScopeBuildOneNodePerStructure) {
+  constexpr unsigned NThreads = 4;
+  constexpr int N = 600;
+  size_t Before = internedTermCount();
+  uint64_t FirstId = internIdCounter().load();
+  GenerationScope Scope;
+  Generation *G = Generation::current();
+  std::vector<std::vector<TermRef>> Built(NThreads);
+  std::vector<std::thread> Threads;
+  for (unsigned T = 0; T != NThreads; ++T)
+    Threads.emplace_back([T, G, &Built] {
+      Generation::Enter E(G);
+      Rng R(0xac5eed08);
+      for (int I = 0; I != N; ++I)
+        Built[T].push_back(Term::mkApp(Term::mkFree("gen_x", natTy()),
+                                       randomTerm(R, 3)));
+    });
+  for (std::thread &Th : Threads)
+    Th.join();
+  for (unsigned T = 1; T != NThreads; ++T)
+    for (int I = 0; I != N; ++I)
+      ASSERT_EQ(Built[0][I].get(), Built[T][I].get())
+          << "thread " << T << " built a duplicate at " << I;
+  std::set<uint64_t> Ids;
+  std::set<const Term *> Seen;
+  for (const TermRef &T : Built[0])
+    collectIds(T, Ids, Seen);
+  size_t Young = 0;
+  for (uint64_t Id : Ids)
+    Young += Id >= FirstId;
+  EXPECT_EQ(internedTermCount() - Before, Young);
+}
+
+/// A rule minted in a scope lives in the scope's overlays: once it
+/// closes, the base Inventory and mint cache lack it, and a second scope
+/// mints an equal proposition. A base entry minted after a scope opened
+/// is not used inside it.
+TEST(HashCons, RuleMintedInAScopeDiesWithIt) {
+  RuleCache Cache;
+  unsigned Mints = 0;
+  auto Mint = [&] {
+    return Cache.get("test.scoped_rule", [&] {
+      ++Mints;
+      TermRef P = Term::mkVar("P", 0, boolTy());
+      return Kernel::axiom(
+          "test.scoped_rule",
+          mkImp(P, mkConj(P, Term::mkConst("scoped_c", boolTy()))));
+    });
+  };
+  std::string First;
+  {
+    GenerationScope Scope;
+    Thm T = Mint();
+    First = printTerm(T.prop());
+    EXPECT_TRUE(Inventory::instance().hasAxiom("test.scoped_rule"));
+    EXPECT_EQ(Mint().prop().get(), T.prop().get());
+    EXPECT_EQ(Mints, 1u);
+  }
+  EXPECT_FALSE(Inventory::instance().hasAxiom("test.scoped_rule"));
+  EXPECT_EQ(Inventory::instance().axioms().count("test.scoped_rule"), 0u);
+  {
+    GenerationScope Scope;
+    EXPECT_EQ(printTerm(Mint().prop()), First);
+    EXPECT_EQ(Mints, 2u) << "the base mint cache kept the first scope's rule";
+  }
+  {
+    GenerationScope Scope;
+    std::thread([&] { (void)Mint(); }).join(); // unscoped: into the base
+    EXPECT_EQ(Mints, 3u);
+    (void)Mint();
+    EXPECT_EQ(Mints, 4u) << "a scope used a base rule newer than itself";
+  }
+  EXPECT_TRUE(Inventory::instance().hasAxiom("test.scoped_rule"));
+  {
+    GenerationScope Scope;
+    EXPECT_EQ(printTerm(Mint().prop()), First);
+    EXPECT_EQ(Mints, 4u) << "a scope re-minted a base rule older than itself";
+  }
 }
