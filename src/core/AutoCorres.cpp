@@ -5,6 +5,7 @@
 #include "core/ResultCache.h"
 #include "heapabs/HeapAbs.h"
 #include "hol/Cert.h"
+#include "hol/Generation.h"
 #include "hol/Names.h"
 #include "hol/Print.h"
 #include "simpl/PrintSimpl.h"
@@ -337,11 +338,14 @@ std::unique_ptr<AutoCorres> AutoCorres::run(const std::string &Source,
           processFn(I);
   } else {
     // One task per SCC, ready the moment its callee components finish —
-    // no phase barriers.
+    // no phase barriers. Each task interns into the caller's request
+    // generation, if it has one (hol/Generation.h).
+    hol::Generation *Gen = hol::Generation::current();
     std::vector<std::function<void()>> Tasks;
     Tasks.reserve(CG.SCCs.size());
     for (const std::vector<unsigned> &SCC : CG.SCCs)
-      Tasks.push_back([&processFn, &SCC, &Hit] {
+      Tasks.push_back([&processFn, &SCC, &Hit, Gen] {
+        hol::Generation::Enter InGen(Gen);
         for (unsigned I : SCC)
           if (!Hit[I])
             processFn(I);

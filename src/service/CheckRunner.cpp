@@ -4,16 +4,46 @@
 
 #include "core/AutoCorres.h"
 #include "core/ResultCache.h"
+#include "heapabs/HeapAbs.h"
+#include "hol/Builder.h"
+#include "hol/Generation.h"
+#include "simpl/Program.h"
 #include "support/Diagnostics.h"
 #include "support/Log.h"
 #include "support/ThreadPool.h"
 #include "support/Trace.h"
+#include "wordabs/WordAbs.h"
+
+#include <mutex>
 
 using namespace ac::service;
 using namespace ac::core;
 
+namespace {
+
+/// Builds, once and before the first request generation opens, what the
+/// base store keeps for every check: WA's and HL's standard rule sets
+/// and the term statics of hol and simpl. A static first built inside a
+/// generation would point into freed memory once it closed.
+void warmBaseStore() {
+  static std::once_flag Once;
+  std::call_once(Once, [] {
+    ac::wordabs::WordAbstraction::registerStandardRules();
+    ac::heapabs::HeapAbstraction::registerStandardRules();
+    (void)ac::hol::mkNot(ac::hol::mkFalse());
+    (void)ac::hol::mkTrue();
+    (void)ac::hol::mkUnit();
+    (void)ac::simpl::exnReturn();
+    (void)ac::simpl::exnBreak();
+    (void)ac::simpl::exnContinue();
+  });
+}
+
+} // namespace
+
 CheckResponse ac::service::runCheck(const CheckRequest &Req,
                                     const CheckContext &Ctx) {
+  warmBaseStore();
   ACOptions ACO;
   ACO.NoHeapAbs.insert(Req.NoHeapAbs.begin(), Req.NoHeapAbs.end());
   ACO.NoWordAbs.insert(Req.NoWordAbs.begin(), Req.NoWordAbs.end());
@@ -28,6 +58,10 @@ CheckResponse ac::service::runCheck(const CheckRequest &Req,
 
   CheckResponse Resp;
   ac::DiagEngine Diags;
+  // Every term the check builds that the base store lacks dies with this
+  // generation. The run is released inside it, and the response carries
+  // strings only.
+  ac::hol::GenerationScope Gen;
   std::unique_ptr<AutoCorres> AC;
   try {
     AC = AutoCorres::run(Req.Source, Diags, ACO);
