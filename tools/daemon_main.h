@@ -68,7 +68,9 @@ public:
   /// names the token in the error line.
   Flag token(std::string &Field, const char *What) {
     const char *V = next();
-    if (V && service::readTokenFile(V, Field))
+    if (!V)
+      return Flag::Usage;
+    if (service::readTokenFile(V, Field))
       return Flag::Taken;
     std::fprintf(stderr, "%s: cannot read %s token file\n", Tool, What);
     return Flag::Failed;
@@ -77,7 +79,9 @@ public:
   /// Sends the structured log to the file the current flag names.
   Flag logFile() {
     const char *V = next();
-    if (V && support::Log::setFile(V))
+    if (!V)
+      return Flag::Usage;
+    if (support::Log::setFile(V))
       return Flag::Taken;
     std::fprintf(stderr, "%s: cannot open log file\n", Tool);
     return Flag::Failed;

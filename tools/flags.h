@@ -10,7 +10,8 @@
 /// string, a count, a decimal), and one rule for what goes wrong. A
 /// number is digits only (no sign, space or exponent) and must lie in
 /// its flag's range; a bad one, like an unknown flag, is a "bad
-/// argument" and exit 2. Only the standard library is included, so acpc,
+/// argument" and exit 2. A flag with no value after it prints the usage
+/// and exits 2. Only the standard library is included, so acpc,
 /// which links nothing from src/, reads its flags here too.
 ///
 //===----------------------------------------------------------------------===//
@@ -135,12 +136,18 @@ public:
   /// [\p Min, \p Max].
   template <typename T>
   Flag num(T &Field, uint64_t Min = 0, uint64_t Max = 1u << 20) {
-    return parseNum(next(), Field, Min, Max) ? Flag::Taken : Flag::Unknown;
+    const char *V = next();
+    if (!V)
+      return Flag::Usage;
+    return parseNum(V, Field, Min, Max) ? Flag::Taken : Flag::Unknown;
   }
 
   /// Stores the current flag's value, a plain decimal, in \p Field.
   Flag decimal(double &Field) {
-    return parseDecimal(next(), Field) ? Flag::Taken : Flag::Unknown;
+    const char *V = next();
+    if (!V)
+      return Flag::Usage;
+    return parseDecimal(V, Field) ? Flag::Taken : Flag::Unknown;
   }
 
 protected:
