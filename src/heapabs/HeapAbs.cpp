@@ -104,10 +104,7 @@ struct HLRules {
   Thm ValWeakenL, ValWeakenR, ModWeakenL, ModWeakenR;
   Thm ValDisjSC, ValConjSC;
 
-  unsigned Count = 0;
-
   Thm ax(const std::string &Name, TermRef Prop) {
-    ++Count;
     return Kernel::axiom("HL." + Name, std::move(Prop));
   }
 
@@ -639,8 +636,6 @@ HeapAbstraction::HeapAbstraction(simpl::SimplProgram &Prog,
   (void)rules(); // force axiom registration
   installLiftSemantics(Ctx, LG);
 }
-
-unsigned HeapAbstraction::ruleCount() { return rules().Count; }
 
 void HeapAbstraction::registerStandardRules() {
   (void)rules(); // the generic Table 4 rules

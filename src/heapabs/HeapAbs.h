@@ -82,9 +82,6 @@ public:
   /// The theorem must conclude abs_h_val ?P ?a ?c.
   void addValRule(const hol::Thm &Rule);
 
-  /// Number of distinct HL.* rules registered (Table 4 accounting).
-  static unsigned ruleCount();
-
   /// Eagerly registers the standard rule set: the generic Table 4 rules
   /// plus the per-type read/write/pointer-guard family at the standard
   /// word widths. The engine mints per-type rules lazily, so audits of

@@ -29,7 +29,6 @@
 #include "support/RuleProfile.h"
 #include "support/Trace.h"
 
-#include <atomic>
 #include <mutex>
 
 using namespace ac;
@@ -195,8 +194,7 @@ TermRef guardPred(const TypeRef &S, const TypeRef &A, const TypeRef &E,
                  Term::mkLam("_", unitTy(), liftLoose(M, 1))});
 }
 
-Thm ax(unsigned &Count, const std::string &Name, TermRef Prop) {
-  ++Count;
+Thm ax(const std::string &Name, TermRef Prop) {
   return Kernel::axiom("WA." + Name, std::move(Prop));
 }
 
@@ -205,7 +203,6 @@ Thm ax(unsigned &Count, const std::string &Name, TermRef Prop) {
 //===----------------------------------------------------------------------===//
 
 struct WARules {
-  unsigned Count = 0;
   TypeRef c = Type::var("c"), a = Type::var("a"), x = Type::var("x"),
           y = Type::var("y");
 
@@ -218,14 +215,14 @@ struct WARules {
     {
       TermRef F = V("f", funTy(c, a));
       TermRef B = V("b", c);
-      Triv = ax(Count, "triv",
+      Triv = ax("triv",
                 mkAbsWVal(mkTrue(), F, Term::mkApp(F, B), B,
                           funTy(c, a)));
     }
     // Identity-mode rules.
     {
       TermRef C = V("k", c);
-      ReflId = ax(Count, "refl_id",
+      ReflId = ax("refl_id",
                   mkAbsWVal(mkTrue(), idAbsC(c), C, C, funTy(c, c)));
     }
     {
@@ -233,7 +230,7 @@ struct WARules {
       TermRef Fp = V("f'", funTy(x, y)), Fc = V("f", funTy(x, y));
       TermRef Xp = V("x'", x), Xc = V("xx", x);
       IdApp = ax(
-          Count, "id_app",
+          "id_app",
           mkImp(mkAbsWVal(P, idAbsC(funTy(x, y)), Fp, Fc,
                           funTy(funTy(x, y), funTy(x, y))),
                 mkImp(mkAbsWVal(Q, idAbsC(x), Xp, Xc, funTy(x, x)),
@@ -250,7 +247,7 @@ struct WARules {
                     Term::mkApp(liftLoose(Gp, 1), Term::mkBound(0)),
                     Term::mkApp(liftLoose(Gc, 1), Term::mkBound(0)),
                     funTy(y, y)));
-      IdExt = ax(Count, "id_ext",
+      IdExt = ax("id_ext",
                  mkImp(Prem, mkAbsWVal(P, idAbsC(funTy(x, y)), Gp, Gc,
                                        funTy(funTy(x, y), funTy(x, y)))));
     }
@@ -276,7 +273,7 @@ struct WARules {
                        Term::mkApp(SndC, Term::mkBound(0)))});
       TermRef Rx = Term::mkLam("p", prodTy(c, d), RxBody);
       PairR = ax(
-          Count, "pair",
+          "pair",
           mkImp(mkAbsWVal(P, F, Xp, Xc, funTy(c, a)),
                 mkImp(mkAbsWVal(Q, G, Yp, Yc, funTy(d, b)),
                       mkAbsWVal(mkConj(P, Q), Rx,
@@ -289,11 +286,11 @@ struct WARules {
       TermRef Q = V("Q", boolTy());
       TermRef F = V("f", funTy(c, a));
       TermRef A2 = V("a", a), C2 = V("cc", c);
-      WeakenL = ax(Count, "weaken_true_l",
+      WeakenL = ax("weaken_true_l",
                    mkImp(mkAbsWVal(mkConj(mkTrue(), Q), F, A2, C2,
                                    funTy(c, a)),
                          mkAbsWVal(Q, F, A2, C2, funTy(c, a))));
-      WeakenR = ax(Count, "weaken_true_r",
+      WeakenR = ax("weaken_true_r",
                    mkImp(mkAbsWVal(mkConj(Q, mkTrue()), F, A2, C2,
                                    funTy(c, a)),
                          mkAbsWVal(Q, F, A2, C2, funTy(c, a))));
@@ -317,7 +314,7 @@ struct WARules {
       TermRef F = V("f", funTy(c, a));
       TermRef A2 = V("a", a), C2 = V("cc", c);
       Return_ = ax(
-          Count, "return",
+          "return",
           mkImp(mkAbsWVal(P, F, A2, C2, funTy(c, a)),
                 Stmt(F,
                      guardPure(st, a, ea, P,
@@ -330,7 +327,7 @@ struct WARules {
       TermRef F = V("f", funTy(c, a)); // value rx (unused payload)
       TermRef Ep = V("e'", ea), Ec = V("ee", ec);
       Throw_ = ax(
-          Count, "throw",
+          "throw",
           mkImp(mkAbsWVal(P, Ex, Ep, Ec, funTy(ec, ea)),
                 Stmt(F,
                      guardPure(st, a, ea, P,
@@ -348,7 +345,7 @@ struct WARules {
                     Term::mkApp(liftLoose(A2, 1), Term::mkBound(0)),
                     Term::mkApp(liftLoose(C2, 1), Term::mkBound(0)),
                     funTy(c, a)));
-      Gets = ax(Count, "gets",
+      Gets = ax("gets",
                 mkImp(Prem,
                       Stmt(F,
                            guardPred(st, a, ea, P,
@@ -367,7 +364,7 @@ struct WARules {
                     Term::mkApp(liftLoose(Mc, 1), Term::mkBound(0)),
                     funTy(st, st)));
       Modify = ax(
-          Count, "modify",
+          "modify",
           mkImp(Prem,
                 Stmt(idAbsC(unitTy()),
                      guardPred(st, unitTy(), ea, P,
@@ -390,19 +387,19 @@ struct WARules {
           "s", st,
           mkConj(Term::mkApp(liftLoose(P, 1), Term::mkBound(0)),
                  Term::mkApp(liftLoose(Gp, 1), Term::mkBound(0))));
-      Guard = ax(Count, "guard",
+      Guard = ax("guard",
                  mkImp(Prem,
                        Stmt(idAbsC(unitTy()),
                             Term::mkApp(guardC(st, ea), Conj),
                             Term::mkApp(guardC(st, ec), Gc),
                             funTy(unitTy(), unitTy()))));
     }
-    Skip_ = ax(Count, "skip",
+    Skip_ = ax("skip",
                Stmt(idAbsC(unitTy()), skipC(st, ea), skipC(st, ec),
                     funTy(unitTy(), unitTy())));
     {
       TermRef F = V("f", funTy(c, a));
-      Fail_ = ax(Count, "fail",
+      Fail_ = ax("fail",
                  Stmt(F, failC(st, a, ea), failC(st, c, ec),
                       funTy(c, a)));
     }
@@ -427,7 +424,7 @@ struct WARules {
       TermRef Concl =
           Stmt(Rx2, mkApps(bindC(st, a, a2, ea), {Lp, Rp}),
                mkApps(bindC(st, c, c2, ec), {Lc, Rc}), funTy(c2, a2));
-      Bind = ax(Count, "bind", mkImp(Prem1, mkImp(Prem2, Concl)));
+      Bind = ax("bind", mkImp(Prem1, mkImp(Prem2, Concl)));
     }
     {
       // catch: inner exceptions abstracted by ex1; the handler receives
@@ -453,7 +450,7 @@ struct WARules {
       TermRef Concl =
           Stmt(Rx, mkApps(catchC(st, a, e1a, ea), {Mp, Hp}),
                mkApps(catchC(st, c, e1c, ec), {Mc, Hc}), funTy(c, a));
-      Catch = ax(Count, "catch", mkImp(Prem1, mkImp(Prem2, Concl)));
+      Catch = ax("catch", mkImp(Prem1, mkImp(Prem2, Concl)));
     }
     {
       TermRef Rx = V("rx", funTy(c, a));
@@ -475,7 +472,7 @@ struct WARules {
       TermRef PremB = Stmt(Rx, Bp, Bc, funTy(c, a));
       TermRef AbsCond = mkApps(condC(st, a, ea), {Cp, Ap, Bp});
       Cond = ax(
-          Count, "cond",
+          "cond",
           mkImp(PremV,
                 mkImp(PremA,
                       mkImp(PremB,
@@ -546,7 +543,7 @@ struct WARules {
       TermRef Loop = mkApps(whileC(st, ai, ea), {Cp, BodyAbs, Ip});
       TermRef Guarded = guardPred(st, ai, ea, Term::mkApp(Pc, Ip), Loop);
       TermRef Whole = guardPure(st, ai, ea, Pi, Guarded);
-      While = ax(Count, "while",
+      While = ax("while",
                  mkImp(PremV,
                        mkImp(PremB,
                              mkImp(PremI,
@@ -563,12 +560,9 @@ WARules &rules() {
   return *R;
 }
 
-std::atomic<unsigned> GlobalPerWidthCount{0};
-
 /// Mint-once cache for the per-width rules below (see RuleCache.h). The
 /// abstraction engine requests a rule per *use* of an operator; only the
-/// first request per axiom name builds the proposition. With the cache,
-/// GlobalPerWidthCount counts distinct per-width rules.
+/// first request per axiom name builds the proposition.
 RuleCache &mintCache() {
   static auto *C = new RuleCache();
   return *C;
@@ -602,7 +596,6 @@ Thm natBinRule(const std::string &Name, unsigned W, const char *Op,
         AxName,
         mkImp(Prem1, mkImp(Prem2, mkAbsWVal(Pre, unatC(W), AbsOp(Ap, Bp),
                                             ConOp, funTy(WT, natTy())))));
-    ++GlobalPerWidthCount;
     return T;
   });
 }
@@ -630,7 +623,6 @@ Thm cmpRule(const std::string &Name, const TypeRef &WT, const TermRef &RxC,
               mkImp(Prem2, mkAbsWVal(Pre, idAbsC(boolTy()),
                                      AbsCmp, ConCmp,
                                      funTy(boolTy(), boolTy())))));
-    ++GlobalPerWidthCount;
     return T;
   });
 }
@@ -659,7 +651,6 @@ Thm intBinRule(const std::string &Name, unsigned W, const char *Op,
               mkImp(Prem2, mkAbsWVal(Pre, sintC(W), AbsOp(Ap, Bp),
                                      mkBinop(Op, WT, Ac, Bc),
                                      funTy(WT, intTy())))));
-    ++GlobalPerWidthCount;
     return T;
   });
 }
@@ -676,7 +667,6 @@ Thm wrapRule(const std::string &Name, const TypeRef &WT, const TermRef &Rx,
         mkImp(mkAbsWVal(P, Rx, Ap, Ac, funTy(WT, ITy)),
               mkAbsWVal(P, idAbsC(WT), Term::mkApp(OfC, Ap), Ac,
                         funTy(WT, WT))));
-    ++GlobalPerWidthCount;
     return T;
   });
 }
@@ -691,7 +681,6 @@ Thm leafRule(const std::string &Name, const TypeRef &WT, const TermRef &Rx,
         "WA." + Name,
         mkImp(mkAbsWVal(P, idAbsC(WT), Tp, Tc, funTy(WT, WT)),
               mkAbsWVal(P, Rx, Term::mkApp(Rx, Tp), Tc, funTy(WT, ITy))));
-    ++GlobalPerWidthCount;
     return T;
   });
 }
@@ -708,7 +697,6 @@ Thm elimRule(const std::string &Name, const TypeRef &WT, const TermRef &Rx,
         mkImp(mkAbsWVal(P, Rx, Ap, Ac, funTy(WT, ITy)),
               mkAbsWVal(P, idAbsC(ITy), Ap, Term::mkApp(Rx, Ac),
                         funTy(ITy, ITy))));
-    ++GlobalPerWidthCount;
     return T;
   });
 }
@@ -734,7 +722,6 @@ Thm iteRule(const std::string &Name, const TypeRef &WT, const TermRef &Rx,
                           mkAbsWVal(mkConj(Pc, mkConj(Pa, Pb)), Rx,
                                     mkIte(Cp, Ap, Bp), mkIte(Cc, Ac, Bc),
                                     funTy(WT, ITy))))));
-    ++GlobalPerWidthCount;
     return T;
   });
 }
@@ -815,10 +802,6 @@ Thm binRuleAt(const std::string &Op, bool IsInt, unsigned W, bool PP) {
 
 WordAbstraction::WordAbstraction(monad::InterpCtx &Ctx) : Ctx(Ctx) {
   (void)rules();
-}
-
-unsigned WordAbstraction::ruleCount() {
-  return rules().Count + GlobalPerWidthCount.load();
 }
 
 void WordAbstraction::registerStandardRules() {

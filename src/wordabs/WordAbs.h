@@ -99,9 +99,6 @@ public:
   /// mechanism).
   void addValRule(const hol::Thm &Rule);
 
-  /// Number of generic WA.* rules plus per-width instances registered.
-  static unsigned ruleCount();
-
   /// Eagerly registers the standard rule set: the generic Table 3 rules
   /// plus the canonical width-32 per-width family (arithmetic,
   /// comparison, ite, leaf, wrap, coercion elimination). The engine
