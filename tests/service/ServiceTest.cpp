@@ -16,6 +16,8 @@
 
 #include "core/AutoCorres.h"
 #include "corpus/Sources.h"
+#include "corpus/Synthetic.h"
+#include "hol/Term.h"
 #include "service/CheckRunner.h"
 #include "service/Client.h"
 #include "service/Server.h"
@@ -27,12 +29,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cctype>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <random>
 #include <set>
 #include <sstream>
 #include <string>
@@ -1466,5 +1470,72 @@ TEST_F(ServiceTest, StaleBulkIsShedInteractiveIsNot) {
   EXPECT_EQ(Snap.Tenants[0].Name, "batch");
   EXPECT_EQ(Snap.Tenants[0].Admitted, 2u);
   EXPECT_EQ(Snap.Tenants[0].Shed, 1u);
+  Srv.stop();
+}
+
+/// Bumps one `<digits>u` literal of \p Src, picked by \p Rng, by one.
+static void bumpOneLiteral(std::string &Src, std::mt19937 &Rng) {
+  auto IdentChar = [](char C) {
+    return std::isalnum(static_cast<unsigned char>(C)) || C == '_';
+  };
+  std::vector<std::pair<size_t, size_t>> Lits; // start, digit count
+  for (size_t I = 0; I < Src.size(); ++I) {
+    if (!std::isdigit(static_cast<unsigned char>(Src[I])) ||
+        (I && IdentChar(Src[I - 1])))
+      continue;
+    size_t J = I;
+    while (J < Src.size() && std::isdigit(static_cast<unsigned char>(Src[J])))
+      ++J;
+    if (J < Src.size() && Src[J] == 'u' &&
+        (J + 1 == Src.size() || !IdentChar(Src[J + 1])))
+      Lits.push_back({I, J - I});
+    I = J;
+  }
+  ASSERT_FALSE(Lits.empty());
+  auto [Pos, Len] = Lits[Rng() % Lits.size()];
+  Src.replace(Pos, Len, std::to_string(std::stoull(Src.substr(Pos, Len)) + 1));
+}
+
+/// A check's terms die with it: a primed daemon re-checking a 40-function
+/// unit after each of ten seeded one-literal edits leaves the interned
+/// term count the test thread reads where it was, and its last answer is
+/// an in-process run's.
+TEST_F(ServiceTest, EditChecksLeaveTheInternStoreFlat) {
+  ServerOptions O = baseOpts();
+  O.Jobs = 1;
+  Server Srv(O);
+  ASSERT_TRUE(Srv.start());
+  Client C = Client::connect(SockPath);
+  ASSERT_TRUE(C.connected());
+  CheckRequest Req;
+  Req.Source = corpus::generateSyntheticProgram(corpus::echronosScale());
+  CheckResponse Resp;
+  std::string Err;
+  ASSERT_TRUE(C.check(Req, Resp, Err)) << Err;
+  ASSERT_TRUE(Resp.Ok) << Resp.Message;
+
+  const size_t Before = hol::internedTermCount();
+  std::mt19937 Rng(7);
+  for (int Edit = 0; Edit != 10; ++Edit) {
+    bumpOneLiteral(Req.Source, Rng);
+    Resp = CheckResponse();
+    ASSERT_TRUE(C.check(Req, Resp, Err)) << Err;
+    ASSERT_TRUE(Resp.Ok) << Resp.Message;
+  }
+  EXPECT_EQ(hol::internedTermCount(), Before)
+      << "edit checks left term nodes in the base store";
+  EXPECT_GT(Resp.CacheHits, 0u) << "the edits were not warm checks";
+
+  CheckResponse Local = runLocalCheck(Req);
+  ASSERT_TRUE(Local.Ok) << Local.Message;
+  ASSERT_EQ(Resp.Functions.size(), Local.Functions.size());
+  for (size_t I = 0; I != Local.Functions.size(); ++I) {
+    const FuncResult &A = Resp.Functions[I], &B = Local.Functions[I];
+    EXPECT_EQ(A.Name, B.Name);
+    EXPECT_EQ(A.FinalKey, B.FinalKey) << A.Name;
+    EXPECT_EQ(A.Render, B.Render) << A.Name;
+    EXPECT_EQ(A.Pipeline, B.Pipeline) << A.Name;
+  }
+  EXPECT_EQ(Resp.Diagnostics, Local.Diagnostics);
   Srv.stop();
 }
