@@ -21,7 +21,8 @@
 #      surface — the daemon juggles detached connection threads, shared
 #      cache tiers and a shared pool, exactly where lifetime bugs hide —
 #      and of test_hol_hashcons, which catches a node used after its
-#      request generation closed.
+#      request generation closed, and test_peephole and test_hol_unify,
+#      whose normal-form memo and type-instance memo key on nodes.
 #   5. Daemon golden round trip: start a real acd, require acc to refuse
 #      a negative, non-numeric or empty --jobs (exit 2) and answer a
 #      --jobs with no value with the usage alone (exit 2), acd to refuse
@@ -333,12 +334,14 @@ else
     fail "ASan cmake configure failed (see above)."
   cmake --build build-asan -j \
     --target test_service test_json test_threadpool test_hol_hashcons \
-    >/dev/null
+    test_peephole test_hol_unify >/dev/null
   (
     cd build-asan
     ./tests/test_json
     ./tests/test_threadpool
     ./tests/test_hol_hashcons
+    ./tests/test_peephole
+    ./tests/test_hol_unify
     ./tests/test_service
   )
 fi

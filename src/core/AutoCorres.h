@@ -138,6 +138,10 @@ struct FuncOutput {
   /// statistics; re-run with the cache disabled to inspect live terms).
   std::shared_ptr<const CachedFunc> Cached;
 
+  /// The final spec as AutoCorres::render returns it, printed once by
+  /// AutoCorres::run; empty on a cache hit, which replays Cached->Render.
+  std::string Render;
+
   /// Rendered per-phase specs and composed-theorem proposition; computed
   /// from the live terms, or replayed verbatim on a cache hit.
   std::string l1Spec() const;
@@ -145,7 +149,8 @@ struct FuncOutput {
   std::string hlSpec() const; ///< empty if not heap-lifted
   std::string waSpec() const; ///< empty if not word-abstracted
   std::string pipelineProp() const;
-  /// Table 5 contributions of the final body.
+  /// Table 5 contributions of the final body. The line count is read
+  /// off the printed spec (its first line is the `name' args ==` header).
   unsigned finalSpecLines() const;
   unsigned finalTermSize() const;
 };

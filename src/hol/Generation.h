@@ -6,10 +6,11 @@
 ///
 /// \file
 /// A request generation: a term store layered over the immortal base
-/// store (Intern.h), plus the axioms registered and the rules minted
-/// while it is current. service::runCheck opens one per check with a
-/// GenerationScope; every term node the check builds that the base does
-/// not already hold lives in the generation and is freed with it.
+/// store (Intern.h), plus the axioms registered, the rules minted and
+/// the type instances memoised while it is current. service::runCheck
+/// opens one per check with a GenerationScope; every term node the check
+/// builds that the base does not already hold lives in the generation
+/// and is freed with it.
 ///
 /// A generation is current on the thread that opened it and on the pool
 /// threads that Enter it (AutoCorres::run's per-SCC tasks). Code that
@@ -81,6 +82,10 @@ public:
     return Rules.emplace(Name, std::move(T)).first->second;
   }
 
+  /// Subst::apply's memo of type passes (hol/Unify.h), built while this
+  /// generation is current.
+  TypeInstances &typeInstances() { return TypeInsts; }
+
 private:
   static inline thread_local Generation *Current = nullptr;
 
@@ -91,6 +96,7 @@ private:
   std::map<std::string, TermRef> Axioms;
   /// Keyed by axiom name, which is unique across the rule caches.
   std::map<std::string, Thm> Rules;
+  TypeInstances TypeInsts;
 };
 
 /// Opens a fresh generation and makes it current on this thread. Closing

@@ -43,6 +43,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace ac::hol {
@@ -72,7 +73,7 @@ public:
 
   Kind kind() const { return K; }
   bool isConst() const { return K == Kind::Const; }
-  bool isConst(const std::string &N) const {
+  bool isConst(std::string_view N) const {
     return K == Kind::Const && *Name == N;
   }
   bool isFree() const { return K == Kind::Free; }

@@ -2,7 +2,10 @@
 
 #include "hol/Unify.h"
 
+#include "hol/Generation.h"
+
 #include <functional>
+#include <unordered_set>
 
 using namespace ac::hol;
 
@@ -32,11 +35,13 @@ TypeRef Subst::applyTy(const TypeRef &T) const {
   return Type::con(T->name(), std::move(Args));
 }
 
-static TermRef applyRaw(const Subst &S, const TermRef &T) {
-  // A substitution can only touch schematic variables and type
-  // variables; a term containing neither is fixed. The node flags make
-  // this O(1), which stops the unifier re-walking ground subtrees.
-  if (!T->hasSchematic() && !T->hasTyVar())
+// A substitution can only touch schematic variables and type variables;
+// the node flags tell in O(1) which subtrees hold neither, so both passes
+// below stop there instead of re-walking ground subtrees.
+
+/// The type pass: \p T with every type resolved, schematics untouched.
+static TermRef instTypes(const Subst &S, const TermRef &T) {
+  if (!T->hasTyVar())
     return T;
   switch (T->kind()) {
   case Term::Kind::Const: {
@@ -58,8 +63,6 @@ static TermRef applyRaw(const Subst &S, const TermRef &T) {
     return Term::mkNum(T->value(), std::move(Ty));
   }
   case Term::Kind::Var: {
-    if (const TermRef *B = S.lookup(T->name(), T->index()))
-      return applyRaw(S, *B);
     TypeRef Ty = S.applyTy(T->type());
     if (Ty.get() == T->type().get())
       return T;
@@ -69,14 +72,14 @@ static TermRef applyRaw(const Subst &S, const TermRef &T) {
     return T;
   case Term::Kind::Lam: {
     TypeRef Ty = S.applyTy(T->type());
-    TermRef B = applyRaw(S, T->body());
+    TermRef B = instTypes(S, T->body());
     if (Ty.get() == T->type().get() && B.get() == T->body().get())
       return T;
     return Term::mkLam(T->name(), std::move(Ty), std::move(B));
   }
   case Term::Kind::App: {
-    TermRef F = applyRaw(S, T->fun());
-    TermRef X = applyRaw(S, T->argTerm());
+    TermRef F = instTypes(S, T->fun());
+    TermRef X = instTypes(S, T->argTerm());
     if (F.get() == T->fun().get() && X.get() == T->argTerm().get())
       return T;
     return Term::mkApp(std::move(F), std::move(X));
@@ -85,10 +88,129 @@ static TermRef applyRaw(const Subst &S, const TermRef &T) {
   return T;
 }
 
+/// The term pass over a term whose types are resolved: each bound
+/// schematic becomes its binding, instantiated in turn (a binding is not
+/// memoised: it is whatever term the caller matched). Only the paths to
+/// schematics are rebuilt.
+static TermRef instTerms(const Subst &S, const TermRef &T) {
+  if (!T->hasSchematic())
+    return T;
+  switch (T->kind()) {
+  case Term::Kind::Var:
+    if (const TermRef *B = S.lookup(T->name(), T->index()))
+      return instTerms(S, instTypes(S, *B));
+    return T;
+  case Term::Kind::Lam: {
+    TermRef B = instTerms(S, T->body());
+    if (B.get() == T->body().get())
+      return T;
+    return Term::mkLam(T->name(), T->type(), std::move(B));
+  }
+  case Term::Kind::App: {
+    TermRef F = instTerms(S, T->fun());
+    TermRef X = instTerms(S, T->argTerm());
+    if (F.get() == T->fun().get() && X.get() == T->argTerm().get())
+      return T;
+    return Term::mkApp(std::move(F), std::move(X));
+  }
+  default:
+    return T;
+  }
+}
+
 TermRef Subst::apply(const TermRef &T) const {
   if (empty() || (!T->hasSchematic() && !T->hasTyVar()))
     return betaNorm(T);
-  return betaNorm(applyRaw(*this, T));
+  TermRef Typed = TyMap.empty() || !T->hasTyVar()
+                      ? T
+                      : TypeInstances::current().get(*this, T);
+  return betaNorm(instTerms(*this, Typed));
+}
+
+//===----------------------------------------------------------------------===//
+// TypeInstances
+//===----------------------------------------------------------------------===//
+
+static void collectTyVars(const TypeRef &Ty, std::vector<TypeRef> &Vars) {
+  if (!Ty->hasVar())
+    return;
+  if (!Ty->isVar()) {
+    for (const TypeRef &A : Ty->args())
+      collectTyVars(A, Vars);
+    return;
+  }
+  for (const TypeRef &V : Vars)
+    if (V->name() == Ty->name())
+      return;
+  Vars.push_back(Ty);
+}
+
+static void collectTyVars(const TermRef &T, std::vector<TypeRef> &Vars,
+                          std::unordered_set<const Term *> &Seen) {
+  if (!T->hasTyVar() || !Seen.insert(T.get()).second)
+    return;
+  switch (T->kind()) {
+  case Term::Kind::Lam:
+    collectTyVars(T->type(), Vars);
+    collectTyVars(T->body(), Vars, Seen);
+    return;
+  case Term::Kind::App:
+    collectTyVars(T->fun(), Vars, Seen);
+    collectTyVars(T->argTerm(), Vars, Seen);
+    return;
+  case Term::Kind::Bound:
+    return;
+  default:
+    collectTyVars(T->type(), Vars);
+    return;
+  }
+}
+
+TypeInstances &TypeInstances::current() {
+  if (Generation *G = Generation::current())
+    return G->typeInstances();
+  // Leaked like the base term store, whose nodes it holds.
+  static auto *Base = new TypeInstances();
+  return *Base;
+}
+
+TermRef TypeInstances::get(const Subst &S, const TermRef &T) {
+  Shard &Sh = Shards[T->id() % ShardCount];
+  Entry *E;
+  {
+    std::lock_guard<std::mutex> L(Sh.M);
+    auto It = Sh.Entries.find(T.get());
+    E = It == Sh.Entries.end() ? nullptr : &It->second;
+  }
+  if (!E) {
+    Entry Fresh;
+    std::unordered_set<const Term *> Seen;
+    collectTyVars(T, Fresh.Vars, Seen);
+    std::lock_guard<std::mutex> L(Sh.M);
+    E = &Sh.Entries.try_emplace(T.get(), std::move(Fresh)).first->second;
+  }
+  // Vars never changes once the entry is in, so it is read unlocked.
+  std::vector<uint64_t> Key;
+  Key.reserve(E->Vars.size());
+  bool Moved = false;
+  for (const TypeRef &V : E->Vars) {
+    Key.push_back(S.applyTy(V)->id());
+    Moved = Moved || Key.back() != V->id();
+  }
+  if (!Moved)
+    return T;
+  {
+    std::lock_guard<std::mutex> L(Sh.M);
+    auto It = E->Instances.find(Key);
+    if (It != E->Instances.end())
+      return TermRef(TermRef(), It->second);
+  }
+  TermRef Typed = instTypes(S, T);
+  std::lock_guard<std::mutex> L(Sh.M);
+  // A thread of the same generation may have stored it meanwhile; the
+  // interner gave both the same node.
+  E->Instances.emplace(std::move(Key), Typed.get());
+  return Typed;
 }
 
 void Subst::bindTy(const std::string &Name, TypeRef T) {

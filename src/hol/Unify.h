@@ -14,6 +14,14 @@
 /// A Subst maps schematic type variables to types and schematic term
 /// variables to closed-under-binder terms. Instantiation beta-normalizes.
 ///
+/// Instantiation runs in two passes: the type pass resolves every type
+/// in the term, and the term pass replaces the bound schematics,
+/// rebuilding only the paths to them. A polymorphic rule carries a type
+/// variable on nearly every node, so the type pass is the one that
+/// rebuilds the whole proposition; TypeInstances keeps its result for
+/// each term and type instance, and a rule that fires again at the same
+/// instance pays only for the term pass.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef AC_HOL_UNIFY_H
@@ -22,9 +30,55 @@
 #include "hol/Term.h"
 
 #include <map>
+#include <mutex>
 #include <optional>
+#include <unordered_map>
+#include <vector>
 
 namespace ac::hol {
+
+class Subst;
+
+/// The memo of Subst::apply's type pass: for each term, the type
+/// variables that occur in it and its form under each instance of them
+/// that has been built. A term's type-instantiated form depends only on
+/// the types its own type variables resolve to, so that list is the key.
+///
+/// Unscoped callers share one immortal memo, whose entries hold base
+/// nodes only. Each request generation keeps its own (hol/Generation.h),
+/// built while the generation is current and freed with it; a
+/// generation does not read the base memo, where an entry built after it
+/// opened could point to a twin of a node it holds (Intern.h).
+class TypeInstances {
+public:
+  TypeInstances() = default;
+  TypeInstances(const TypeInstances &) = delete;
+  TypeInstances &operator=(const TypeInstances &) = delete;
+
+  /// \p T with every type resolved through \p S (schematics untouched):
+  /// the stored node, or the type pass's, stored for the next caller.
+  TermRef get(const Subst &S, const TermRef &T);
+
+  /// The memo current on this thread: the current generation's, or the
+  /// base memo.
+  static TypeInstances &current();
+
+private:
+  struct Entry {
+    /// The type variables of the term, in first-occurrence order.
+    std::vector<TypeRef> Vars;
+    /// The term under each resolution of Vars, keyed by the intern ids
+    /// of the types they resolve to (types are immortal).
+    std::map<std::vector<uint64_t>, const Term *> Instances;
+  };
+  struct Shard {
+    std::mutex M;
+    /// Node-based, so an Entry stays put while other keys are added.
+    std::unordered_map<const Term *, Entry> Entries;
+  };
+  static constexpr unsigned ShardCount = 16;
+  Shard Shards[ShardCount];
+};
 
 /// A substitution for schematic type and term variables.
 class Subst {
@@ -32,6 +86,7 @@ public:
   /// Resolves a type through the substitution (chasing bindings).
   TypeRef applyTy(const TypeRef &T) const;
   /// Resolves a term: instantiate schematics, substitute types, beta-norm.
+  /// The type pass over \p T itself is memoised (TypeInstances).
   TermRef apply(const TermRef &T) const;
 
   void bindTy(const std::string &Name, TypeRef T);

@@ -6,23 +6,16 @@
 
 #include "hol/Names.h"
 
+#include <string_view>
+#include <unordered_set>
+#include <vector>
+
 using namespace ac;
 using namespace ac::monad;
 using namespace ac::hol;
 namespace nm = ac::hol::names;
 
 namespace {
-
-/// Matches `Const(Name) a1 .. aN` exactly.
-bool matchC(const TermRef &T, const char *Name, unsigned Arity,
-            std::vector<TermRef> &Args, TermRef *HeadOut = nullptr) {
-  TermRef Head = stripApp(T, Args);
-  if (!Head->isConst(Name) || Args.size() != Arity)
-    return false;
-  if (HeadOut)
-    *HeadOut = Head;
-  return true;
-}
 
 /// A value cheap enough to inline at every use site.
 bool isCheapValue(const TermRef &T) {
@@ -111,6 +104,32 @@ bool neverThrows(const TermRef &T) {
   return isNothrowHead(T);
 }
 
+/// A term stripped once: its head, its arguments, and the head's name
+/// (empty unless the head is a constant). Names live in the immortal
+/// name pool, so the view stays valid.
+struct Spine {
+  std::vector<TermRef> Args;
+  TermRef Head;
+  std::string_view Name;
+
+  explicit Spine(const TermRef &T) : Head(stripApp(T, Args)) {
+    if (Head->isConst())
+      Name = Head->name();
+  }
+  /// `Name a1 .. aN` exactly.
+  bool is(const char *N, size_t Arity) const {
+    return Args.size() == Arity && Name == N;
+  }
+};
+
+/// The name of \p T's head constant, or empty.
+std::string_view headName(const TermRef &T) {
+  const Term *H = T.get();
+  while (H->isApp())
+    H = H->fun().get();
+  return H->isConst() ? std::string_view(H->name()) : std::string_view();
+}
+
 class Peephole {
 public:
   explicit Peephole(unsigned Budget) : Budget(Budget) {}
@@ -119,16 +138,33 @@ public:
 
 private:
   unsigned Budget;
+  /// Ids of nodes known to be in normal form: simplifying one fires no
+  /// rule and spends no budget, so it returns at once. Ids are never
+  /// reused, and every node lives for the whole call.
+  std::unordered_set<uint64_t> Normal;
+  /// Loops that ended at the 100-step cap or on an empty budget; a
+  /// result is normal only if none ended so while it was built.
+  unsigned Stops = 0;
 
   TermRef simp(const TermRef &T) {
+    // A leaf has no children, and no rule matches it.
+    if (!T->isApp() && !T->isLam())
+      return T;
+    if (Normal.count(T->id()))
+      return T;
+    unsigned StopsBefore = Stops;
     TermRef Cur = simpChildren(T);
     for (unsigned I = 0; I != 100 && Budget != 0; ++I) {
       TermRef Next = rules(Cur);
-      if (Next.get() == Cur.get())
+      if (Next.get() == Cur.get()) {
+        if (Stops == StopsBefore)
+          Normal.insert(Cur->id());
         return Cur;
+      }
       --Budget;
       Cur = simpChildren(Next);
     }
+    ++Stops;
     return Cur;
   }
 
@@ -157,239 +193,230 @@ private:
     return ranTy(ranTy(HeadConst->type()));
   }
 
+  /// One rewrite step at the root of \p T, or T itself. The spine is
+  /// stripped once and dispatched on its head's name.
   TermRef rules(const TermRef &T) {
-    std::vector<TermRef> A, B;
-    TermRef BindHead;
-
-    // --- bind rules -----------------------------------------------------
-    if (matchC(T, nm::Bind, 2, A, &BindHead)) {
-      const TermRef &M = A[0];
-      const TermRef &F = A[1];
-      TypeRef ResTy = resultMonadTy(BindHead);
-
-      // bind (return x) f  ==>  f x — but only when inlining x cannot
-      // blow the term up (cheap value or single use).
-      if (matchC(M, nm::Return, 1, B)) {
-        bool SingleUse =
-            F->isLam() && usesOfBound(F->body(), 0) <= 1;
-        if (isCheapValue(B[0]) || SingleUse)
-          return betaNorm(Term::mkApp(F, B[0]));
-      }
-      // bind skip f  ==>  f ()
-      if (M->isConst(nm::Skip))
-        return betaNorm(Term::mkApp(F, mkUnit()));
-      // bind (guard (%_. True)) f  ==>  f ()
-      if (matchC(M, nm::Guard, 1, B) && B[0]->isLam() &&
-          B[0]->body()->isConst(nm::True))
-        return betaNorm(Term::mkApp(F, mkUnit()));
-      // bind (throw e) f  ==>  throw e (at the result type)
-      if (matchC(M, nm::Throw, 1, B)) {
-        TermRef ThrowHead = M->fun();
-        TermRef NewThrow = Term::mkConst(
-            nm::Throw, funTy(domTy(ThrowHead->type()), ResTy));
-        return Term::mkApp(NewThrow, B[0]);
-      }
-      // bind fail f  ==>  fail
-      if (M->isConst(nm::Fail))
-        return Term::mkConst(nm::Fail, ResTy);
-      // bind m (%v. return v)  ==>  m
-      if (F->isLam()) {
-        std::vector<TermRef> RA;
-        if (matchC(F->body(), nm::Return, 1, RA) && RA[0]->isBound() &&
-            RA[0]->index() == 0)
-          return M;
-      }
-      // Adjacent identical guards: guard P; guard P; K  ==>  guard P; K
-      std::vector<TermRef> GA;
-      if (matchC(M, nm::Guard, 1, GA) && F->isLam()) {
-        std::vector<TermRef> IB;
-        TermRef IBH;
-        if (matchC(F->body(), nm::Bind, 2, IB, &IBH)) {
-          std::vector<TermRef> GB;
-          if (matchC(IB[0], nm::Guard, 1, GB) && GB[0]->maxLoose() == 0 &&
-              termEq(GA[0], GB[0]) && IB[1]->isLam()) {
-            // Drop the inner guard; both unit binders are unused.
-            TermRef InnerBody = substBound(
-                IB[1]->body(), Term::mkConst(nm::Unity, unitTy()));
-            TermRef NewF =
-                Term::mkLam(F->name(), F->type(), InnerBody);
-            TermRef BindC2 = Term::mkConst(
-                nm::Bind, funTys({domTy(BindHead->type()),
-                                  funTy(F->type(), ResTy)},
-                                 ResTy));
-            return mkApps(BindC2, {M, NewF});
-          }
-        }
-      }
-      // bind (bind m g) f  ==>  bind m (%v. bind (g v) f)
-      std::vector<TermRef> IA;
-      TermRef InnerHead;
-      if (matchC(M, nm::Bind, 2, IA, &InnerHead) && IA[1]->isLam()) {
-        const TermRef &M0 = IA[0];
-        const TermRef &G = IA[1];
-        // All types come from the two bind constants (subterms may be
-        // open, so typeOf is not available here).
-        TypeRef M0Ty = domTy(InnerHead->type());
-        TypeRef GTy = domTy(ranTy(InnerHead->type()));
-        TypeRef FTy = domTy(ranTy(BindHead->type()));
-        TypeRef VTy = G->type();
-        TermRef GV = betaNorm(
-            Term::mkApp(liftLoose(G, 1), Term::mkBound(0)));
-        TermRef NewInner =
-            Term::mkConst(nm::Bind, funTys({ranTy(GTy), FTy}, ResTy));
-        TermRef Body = mkApps(NewInner, {GV, liftLoose(F, 1)});
-        TermRef NewF = Term::mkLam(G->name(), VTy, Body);
-        TermRef NewOuter = Term::mkConst(
-            nm::Bind, funTys({M0Ty, funTy(VTy, ResTy)}, ResTy));
-        return mkApps(NewOuter, {M0, NewF});
-      }
-      // bind (condition c X Y) f  ==>  condition c (bind X f) (bind Y f)
-      // (bounded duplication of f)
-      std::vector<TermRef> CA;
-      TermRef CondHead;
-      if (matchC(M, nm::Condition, 3, CA, &CondHead)) {
-        // Only push the continuation into the branches when both are
-        // trivial (return/throw) AND the continuation is small: that
-        // collapses the max-style pattern without duplicating real code.
-        bool BranchesTrivial =
-            (stripHeadName(CA[1]) == nm::Throw ||
-             stripHeadName(CA[1]) == nm::Return) &&
-            (stripHeadName(CA[2]) == nm::Throw ||
-             stripHeadName(CA[2]) == nm::Return);
-        if (BranchesTrivial && F->size() <= 24) {
-          TypeRef BranchTy = domTy(ranTy(CondHead->type()));
-          TypeRef FTy = domTy(ranTy(BindHead->type()));
-          TermRef BindC =
-              Term::mkConst(nm::Bind, funTys({BranchTy, FTy}, ResTy));
-          TermRef X = mkApps(BindC, {CA[1], F});
-          TermRef Y = mkApps(BindC, {CA[2], F});
-          TermRef CondC = Term::mkConst(
-              nm::Condition,
-              funTys({domTy(CondHead->type()), ResTy, ResTy}, ResTy));
-          return mkApps(CondC, {CA[0], X, Y});
-        }
-      }
+    if (!T->isApp())
       return T;
-    }
-
-    // --- catch rules ----------------------------------------------------
-    TermRef CatchHead;
-    if (matchC(T, nm::Catch, 2, A, &CatchHead)) {
-      const TermRef &M = A[0];
-      const TermRef &H = A[1];
-      TypeRef ResTy = resultMonadTy(CatchHead);
-
-      // catch (return x) h  ==>  return x
-      if (matchC(M, nm::Return, 1, B)) {
-        TermRef RetC = Term::mkConst(
-            nm::Return, funTy(domTy(M->fun()->type()), ResTy));
-        return Term::mkApp(RetC, B[0]);
-      }
-      // catch (throw e) h  ==>  h e
-      if (matchC(M, nm::Throw, 1, B))
-        return betaNorm(Term::mkApp(H, B[0]));
-      // catch fail h  ==>  fail
-      if (M->isConst(nm::Fail))
-        return Term::mkConst(nm::Fail, ResTy);
-      // catch m (%e. throw e)  ==>  m  (only at unchanged exception type)
-      if (H->isLam() && typeEq(domTy(CatchHead->type()), ResTy)) {
-        std::vector<TermRef> TA;
-        if (matchC(H->body(), nm::Throw, 1, TA) && TA[0]->isBound() &&
-            TA[0]->index() == 0)
-          return M;
-      }
-      // catch m h  ==>  m, when m never throws (type permitting).
-      if (neverThrows(M) && typeEq(domTy(CatchHead->type()), ResTy))
-        return M;
-      // catch (bind NT g) h  ==>  bind NT (%v. catch (g v) h)
-      std::vector<TermRef> IA;
-      TermRef IBHead;
-      if (matchC(M, nm::Bind, 2, IA, &IBHead) && IA[1]->isLam() &&
-          (isNothrowHead(IA[0]) || neverThrows(IA[0]))) {
-        const TermRef &NT = IA[0];
-        const TermRef &G = IA[1];
-        TypeRef HTy = domTy(ranTy(CatchHead->type()));
-        TypeRef NTTy = domTy(IBHead->type());
-        TypeRef GTy = domTy(ranTy(IBHead->type()));
-        TermRef GV = betaNorm(
-            Term::mkApp(liftLoose(G, 1), Term::mkBound(0)));
-        TermRef NewCatch = Term::mkConst(
-            nm::Catch, funTys({ranTy(GTy), HTy}, ResTy));
-        TermRef Body = mkApps(NewCatch, {GV, liftLoose(H, 1)});
-        TermRef NewG = Term::mkLam(G->name(), G->type(), Body);
-        TermRef BindC = Term::mkConst(
-            nm::Bind,
-            funTys({NTTy, funTy(G->type(), ResTy)}, ResTy));
-        return mkApps(BindC, {NT, NewG});
-      }
-      // catch (condition c X Y) h  ==>  condition c (catch X h) (catch Y h)
-      std::vector<TermRef> CA;
-      TermRef CondHead;
-      if (matchC(M, nm::Condition, 3, CA, &CondHead)) {
-        TypeRef HTy = domTy(ranTy(CatchHead->type()));
-        TypeRef BranchTy = domTy(ranTy(CondHead->type()));
-        TermRef CatchC = Term::mkConst(
-            nm::Catch, funTys({BranchTy, HTy}, ResTy));
-        TermRef X = mkApps(CatchC, {CA[1], H});
-        TermRef Y = mkApps(CatchC, {CA[2], H});
-        TermRef CondC = Term::mkConst(
-            nm::Condition,
-            funTys({domTy(CondHead->type()), ResTy, ResTy}, ResTy));
-        return mkApps(CondC, {CA[0], X, Y});
-      }
-      return T;
-    }
-
-    // --- guard body cleanup: True conjuncts inside guard lambdas -------
-    if (matchC(T, nm::Guard, 1, A) && A[0]->isLam()) {
-      TermRef L2, R2;
-      if (destConj(A[0]->body(), L2, R2)) {
-        TermRef NewBody;
-        if (L2->isConst(nm::True))
-          NewBody = R2;
-        else if (R2->isConst(nm::True))
-          NewBody = L2;
-        if (NewBody) {
-          TermRef GHead = T->fun();
-          return Term::mkApp(
-              GHead, Term::mkLam(A[0]->name(), A[0]->type(), NewBody));
-        }
-      }
-      return T;
-    }
-
-    // --- condition rules --------------------------------------------------
-    if (matchC(T, nm::Condition, 3, A)) {
-      const TermRef &C = A[0];
-      // condition c X X ==> X
-      if (termEq(A[1], A[2]))
-        return A[1];
-      // Fully pure conditional of returns: return (if c then x else y).
-      if (C->isLam() && C->body()->maxLoose() == 0) {
-        std::vector<TermRef> XA, YA;
-        if (matchC(A[1], nm::Return, 1, XA) &&
-            matchC(A[2], nm::Return, 1, YA)) {
-          TermRef CondBody =
-              substBound(C->body(), Term::mkFree("_", C->type()));
-          TermRef RetC = A[1]->fun();
-          return Term::mkApp(RetC, mkIte(CondBody, XA[0], YA[0]));
-        }
-        // condition with literal condition.
-        if (C->body()->isConst(nm::True))
-          return A[1];
-        if (C->body()->isConst(nm::False))
-          return A[2];
-      }
-      return T;
-    }
-
+    Spine S(T);
+    if (S.is(nm::Bind, 2))
+      return bindRules(T, S);
+    if (S.is(nm::Catch, 2))
+      return catchRules(T, S);
+    if (S.is(nm::Guard, 1))
+      return guardRules(T, S);
+    if (S.is(nm::Condition, 3))
+      return conditionRules(T, S);
     return T;
   }
 
-  static std::string stripHeadName(const TermRef &T) {
-    std::vector<TermRef> Args;
-    TermRef Head = stripApp(T, Args);
-    return Head->isConst() ? Head->name() : "";
+  TermRef bindRules(const TermRef &T, const Spine &S) {
+    const TermRef &BindHead = S.Head;
+    const TermRef &M = S.Args[0];
+    const TermRef &F = S.Args[1];
+    TypeRef ResTy = resultMonadTy(BindHead);
+    Spine MS(M);
+
+    // bind (return x) f  ==>  f x — but only when inlining x cannot
+    // blow the term up (cheap value or single use).
+    if (MS.is(nm::Return, 1)) {
+      bool SingleUse = F->isLam() && usesOfBound(F->body(), 0) <= 1;
+      if (isCheapValue(MS.Args[0]) || SingleUse)
+        return betaNorm(Term::mkApp(F, MS.Args[0]));
+    }
+    // bind skip f  ==>  f ()
+    if (MS.is(nm::Skip, 0))
+      return betaNorm(Term::mkApp(F, mkUnit()));
+    // bind (guard (%_. True)) f  ==>  f ()
+    if (MS.is(nm::Guard, 1) && MS.Args[0]->isLam() &&
+        MS.Args[0]->body()->isConst(nm::True))
+      return betaNorm(Term::mkApp(F, mkUnit()));
+    // bind (throw e) f  ==>  throw e (at the result type)
+    if (MS.is(nm::Throw, 1)) {
+      TermRef NewThrow = Term::mkConst(
+          nm::Throw, funTy(domTy(MS.Head->type()), ResTy));
+      return Term::mkApp(NewThrow, MS.Args[0]);
+    }
+    // bind fail f  ==>  fail
+    if (MS.is(nm::Fail, 0))
+      return Term::mkConst(nm::Fail, ResTy);
+    if (F->isLam()) {
+      Spine FB(F->body());
+      // bind m (%v. return v)  ==>  m
+      if (FB.is(nm::Return, 1) && FB.Args[0]->isBound() &&
+          FB.Args[0]->index() == 0)
+        return M;
+      // Adjacent identical guards: guard P; guard P; K  ==>  guard P; K
+      if (MS.is(nm::Guard, 1) && FB.is(nm::Bind, 2)) {
+        Spine GB(FB.Args[0]);
+        if (GB.is(nm::Guard, 1) && GB.Args[0]->maxLoose() == 0 &&
+            termEq(MS.Args[0], GB.Args[0]) && FB.Args[1]->isLam()) {
+          // Drop the inner guard; both unit binders are unused.
+          TermRef InnerBody = substBound(
+              FB.Args[1]->body(), Term::mkConst(nm::Unity, unitTy()));
+          TermRef NewF = Term::mkLam(F->name(), F->type(), InnerBody);
+          TermRef BindC2 = Term::mkConst(
+              nm::Bind, funTys({domTy(BindHead->type()),
+                                funTy(F->type(), ResTy)},
+                               ResTy));
+          return mkApps(BindC2, {M, NewF});
+        }
+      }
+    }
+    // bind (bind m g) f  ==>  bind m (%v. bind (g v) f)
+    if (MS.is(nm::Bind, 2) && MS.Args[1]->isLam()) {
+      const TermRef &InnerHead = MS.Head;
+      const TermRef &M0 = MS.Args[0];
+      const TermRef &G = MS.Args[1];
+      // All types come from the two bind constants (subterms may be
+      // open, so typeOf is not available here).
+      TypeRef M0Ty = domTy(InnerHead->type());
+      TypeRef GTy = domTy(ranTy(InnerHead->type()));
+      TypeRef FTy = domTy(ranTy(BindHead->type()));
+      TypeRef VTy = G->type();
+      TermRef GV =
+          betaNorm(Term::mkApp(liftLoose(G, 1), Term::mkBound(0)));
+      TermRef NewInner =
+          Term::mkConst(nm::Bind, funTys({ranTy(GTy), FTy}, ResTy));
+      TermRef Body = mkApps(NewInner, {GV, liftLoose(F, 1)});
+      TermRef NewF = Term::mkLam(G->name(), VTy, Body);
+      TermRef NewOuter = Term::mkConst(
+          nm::Bind, funTys({M0Ty, funTy(VTy, ResTy)}, ResTy));
+      return mkApps(NewOuter, {M0, NewF});
+    }
+    // bind (condition c X Y) f  ==>  condition c (bind X f) (bind Y f)
+    // (bounded duplication of f)
+    if (MS.is(nm::Condition, 3)) {
+      const std::vector<TermRef> &CA = MS.Args;
+      const TermRef &CondHead = MS.Head;
+      // Only push the continuation into the branches when both are
+      // trivial (return/throw) AND the continuation is small: that
+      // collapses the max-style pattern without duplicating real code.
+      std::string_view X = headName(CA[1]), Y = headName(CA[2]);
+      bool BranchesTrivial = (X == nm::Throw || X == nm::Return) &&
+                             (Y == nm::Throw || Y == nm::Return);
+      if (BranchesTrivial && F->size() <= 24) {
+        TypeRef BranchTy = domTy(ranTy(CondHead->type()));
+        TypeRef FTy = domTy(ranTy(BindHead->type()));
+        TermRef BindC =
+            Term::mkConst(nm::Bind, funTys({BranchTy, FTy}, ResTy));
+        TermRef NewX = mkApps(BindC, {CA[1], F});
+        TermRef NewY = mkApps(BindC, {CA[2], F});
+        TermRef CondC = Term::mkConst(
+            nm::Condition,
+            funTys({domTy(CondHead->type()), ResTy, ResTy}, ResTy));
+        return mkApps(CondC, {CA[0], NewX, NewY});
+      }
+    }
+    return T;
+  }
+
+  TermRef catchRules(const TermRef &T, const Spine &S) {
+    const TermRef &CatchHead = S.Head;
+    const TermRef &M = S.Args[0];
+    const TermRef &H = S.Args[1];
+    TypeRef ResTy = resultMonadTy(CatchHead);
+    Spine MS(M);
+
+    // catch (return x) h  ==>  return x
+    if (MS.is(nm::Return, 1)) {
+      TermRef RetC = Term::mkConst(
+          nm::Return, funTy(domTy(MS.Head->type()), ResTy));
+      return Term::mkApp(RetC, MS.Args[0]);
+    }
+    // catch (throw e) h  ==>  h e
+    if (MS.is(nm::Throw, 1))
+      return betaNorm(Term::mkApp(H, MS.Args[0]));
+    // catch fail h  ==>  fail
+    if (MS.is(nm::Fail, 0))
+      return Term::mkConst(nm::Fail, ResTy);
+    // catch m (%e. throw e)  ==>  m  (only at unchanged exception type)
+    if (H->isLam() && typeEq(domTy(CatchHead->type()), ResTy)) {
+      Spine HB(H->body());
+      if (HB.is(nm::Throw, 1) && HB.Args[0]->isBound() &&
+          HB.Args[0]->index() == 0)
+        return M;
+    }
+    // catch m h  ==>  m, when m never throws (type permitting).
+    if (neverThrows(M) && typeEq(domTy(CatchHead->type()), ResTy))
+      return M;
+    // catch (bind NT g) h  ==>  bind NT (%v. catch (g v) h)
+    if (MS.is(nm::Bind, 2) && MS.Args[1]->isLam() &&
+        (isNothrowHead(MS.Args[0]) || neverThrows(MS.Args[0]))) {
+      const TermRef &IBHead = MS.Head;
+      const TermRef &NT = MS.Args[0];
+      const TermRef &G = MS.Args[1];
+      TypeRef HTy = domTy(ranTy(CatchHead->type()));
+      TypeRef NTTy = domTy(IBHead->type());
+      TypeRef GTy = domTy(ranTy(IBHead->type()));
+      TermRef GV =
+          betaNorm(Term::mkApp(liftLoose(G, 1), Term::mkBound(0)));
+      TermRef NewCatch =
+          Term::mkConst(nm::Catch, funTys({ranTy(GTy), HTy}, ResTy));
+      TermRef Body = mkApps(NewCatch, {GV, liftLoose(H, 1)});
+      TermRef NewG = Term::mkLam(G->name(), G->type(), Body);
+      TermRef BindC = Term::mkConst(
+          nm::Bind, funTys({NTTy, funTy(G->type(), ResTy)}, ResTy));
+      return mkApps(BindC, {NT, NewG});
+    }
+    // catch (condition c X Y) h  ==>  condition c (catch X h) (catch Y h)
+    if (MS.is(nm::Condition, 3)) {
+      const std::vector<TermRef> &CA = MS.Args;
+      const TermRef &CondHead = MS.Head;
+      TypeRef HTy = domTy(ranTy(CatchHead->type()));
+      TypeRef BranchTy = domTy(ranTy(CondHead->type()));
+      TermRef CatchC =
+          Term::mkConst(nm::Catch, funTys({BranchTy, HTy}, ResTy));
+      TermRef X = mkApps(CatchC, {CA[1], H});
+      TermRef Y = mkApps(CatchC, {CA[2], H});
+      TermRef CondC = Term::mkConst(
+          nm::Condition,
+          funTys({domTy(CondHead->type()), ResTy, ResTy}, ResTy));
+      return mkApps(CondC, {CA[0], X, Y});
+    }
+    return T;
+  }
+
+  /// Guard body cleanup: True conjuncts inside guard lambdas.
+  TermRef guardRules(const TermRef &T, const Spine &S) {
+    const TermRef &P = S.Args[0];
+    TermRef L, R;
+    if (!P->isLam() || !destConj(P->body(), L, R))
+      return T;
+    TermRef NewBody;
+    if (L->isConst(nm::True))
+      NewBody = R;
+    else if (R->isConst(nm::True))
+      NewBody = L;
+    if (!NewBody)
+      return T;
+    return Term::mkApp(S.Head, Term::mkLam(P->name(), P->type(), NewBody));
+  }
+
+  TermRef conditionRules(const TermRef &T, const Spine &S) {
+    const std::vector<TermRef> &A = S.Args;
+    const TermRef &C = A[0];
+    // condition c X X ==> X
+    if (termEq(A[1], A[2]))
+      return A[1];
+    if (C->isLam() && C->body()->maxLoose() == 0) {
+      // Fully pure conditional of returns: return (if c then x else y).
+      Spine XS(A[1]);
+      if (XS.is(nm::Return, 1)) {
+        Spine YS(A[2]);
+        if (YS.is(nm::Return, 1)) {
+          TermRef CondBody =
+              substBound(C->body(), Term::mkFree("_", C->type()));
+          return Term::mkApp(XS.Head, mkIte(CondBody, XS.Args[0], YS.Args[0]));
+        }
+      }
+      // condition with literal condition.
+      if (C->body()->isConst(nm::True))
+        return A[1];
+      if (C->body()->isConst(nm::False))
+        return A[2];
+    }
+    return T;
   }
 };
 
@@ -460,31 +487,49 @@ bool dataUpdateImmune(const TermRef &T, unsigned Depth) {
 
 TermRef dedupSpine(const TermRef &T, std::vector<TermRef> Seen);
 
+/// \p F with body \p B: F itself when the body did not change.
+TermRef withBody(const TermRef &F, TermRef B) {
+  if (B.get() == F->body().get())
+    return F;
+  return Term::mkLam(F->name(), F->type(), std::move(B));
+}
+
+/// The bind \p T (stripped as \p S) over \p M and \p F: T itself when
+/// neither changed.
+TermRef rebind(const TermRef &T, const Spine &S, TermRef M, TermRef F) {
+  if (M.get() == S.Args[0].get() && F.get() == S.Args[1].get())
+    return T;
+  return mkApps(S.Head, {std::move(M), std::move(F)});
+}
+
 TermRef dedupChildren(const TermRef &T) {
   switch (T->kind()) {
-  case Term::Kind::App:
-    return Term::mkApp(dedupChildren(T->fun()),
-                       dedupSpine(T->argTerm(), {}));
+  case Term::Kind::App: {
+    TermRef F = dedupChildren(T->fun());
+    TermRef X = dedupSpine(T->argTerm(), {});
+    if (F.get() == T->fun().get() && X.get() == T->argTerm().get())
+      return T;
+    return Term::mkApp(std::move(F), std::move(X));
+  }
   case Term::Kind::Lam:
-    return Term::mkLam(T->name(), T->type(), dedupSpine(T->body(), {}));
+    return withBody(T, dedupSpine(T->body(), {}));
   default:
     return T;
   }
 }
 
 TermRef dedupSpine(const TermRef &T, std::vector<TermRef> Seen) {
-  std::vector<TermRef> A;
-  TermRef BindHead;
-  if (!matchC(T, nm::Bind, 2, A, &BindHead) || !A[1]->isLam())
+  Spine S(T);
+  if (!S.is(nm::Bind, 2) || !S.Args[1]->isLam())
     return dedupChildren(T);
-  const TermRef &M = A[0];
-  const TermRef &F = A[1];
+  const TermRef &M = S.Args[0];
+  const TermRef &F = S.Args[1];
+  Spine MS(M);
 
-  std::vector<TermRef> GA;
-  if (matchC(M, nm::Guard, 1, GA) && GA[0]->isLam() &&
-      GA[0]->body()->maxLoose() <= 1) {
+  if (MS.is(nm::Guard, 1) && MS.Args[0]->isLam() &&
+      MS.Args[0]->body()->maxLoose() <= 1) {
     std::vector<TermRef> Cs;
-    conjuncts(GA[0]->body(), Cs);
+    conjuncts(MS.Args[0]->body(), Cs);
     bool AllSeen = true;
     for (const TermRef &C : Cs)
       if (!seenHas(Seen, C)) {
@@ -500,19 +545,15 @@ TermRef dedupSpine(const TermRef &T, std::vector<TermRef> Seen) {
     for (const TermRef &C : Cs)
       if (!seenHas(Seen, C))
         Seen.push_back(C);
-    TermRef NewF = Term::mkLam(F->name(), F->type(),
-                               dedupSpine(F->body(), Seen));
-    return mkApps(Term::mkConst(nm::Bind, BindHead->type()),
-                  {M, NewF});
+    return rebind(T, S, M,
+                  withBody(F, dedupSpine(F->body(), std::move(Seen))));
   }
 
   // Decide whether the step preserves the guard knowledge.
-  std::vector<TermRef> MA;
   bool Preserves = false;
-  if (matchC(M, nm::Gets, 1, MA) || matchC(M, nm::Return, 1, MA) ||
-      M->isConst(nm::Skip))
+  if (MS.is(nm::Gets, 1) || MS.is(nm::Return, 1) || MS.is(nm::Skip, 0))
     Preserves = true;
-  else if (matchC(M, nm::Modify, 1, MA) && isDataOnlyModify(MA[0])) {
+  else if (MS.is(nm::Modify, 1) && isDataOnlyModify(MS.Args[0])) {
     // The write changes heap data: drop conjuncts that read it, keep
     // validity facts and plain globals (the Sec 4.4 design point).
     std::vector<TermRef> Kept;
@@ -525,9 +566,8 @@ TermRef dedupSpine(const TermRef &T, std::vector<TermRef> Seen) {
   if (!Preserves)
     Seen.clear();
   TermRef NewM = dedupChildren(M);
-  TermRef NewF =
-      Term::mkLam(F->name(), F->type(), dedupSpine(F->body(), Seen));
-  return mkApps(Term::mkConst(nm::Bind, BindHead->type()), {NewM, NewF});
+  return rebind(T, S, std::move(NewM),
+                withBody(F, dedupSpine(F->body(), std::move(Seen))));
 }
 
 } // namespace

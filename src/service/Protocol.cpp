@@ -288,6 +288,8 @@ bool CheckResponse::fromJson(const Json &J, CheckResponse &Out,
     Err = "response is not a JSON object";
     return false;
   }
+  // A fresh response: nothing of what Out held before may survive.
+  Out = CheckResponse();
   Out.Ok = J.get("ok").asBool(false);
   Out.TraceId = J.get("trace_id").asString();
   Out.Err = Out.Ok ? ErrorCode::None

@@ -414,3 +414,78 @@ TEST(HashCons, RuleMintedInAScopeDiesWithIt) {
     EXPECT_EQ(Mints, 4u) << "a scope re-minted a base rule older than itself";
   }
 }
+
+/// Subst::apply's type-pass memo in a scope: four threads instantiating
+/// one rule at one type instance share the memo's node (with no term
+/// binding the result is that node), and agree on every instance over
+/// it. Under TSan this race-checks the memo; under ASan, reading an
+/// entry after its scope closed.
+TEST(HashCons, ThreadsInOneScopeShareATypeInstance) {
+  constexpr unsigned NThreads = 4;
+  constexpr int N = 200;
+  TypeRef A = Type::var("hc_a");
+  TermRef X = Term::mkVar("x", 0, A);
+  TermRef Rule =
+      mkEq(Term::mkApp(Term::mkConst("hc_k", funTy(A, A)), X), X);
+  GenerationScope Scope;
+  Generation *G = Generation::current();
+  std::vector<TermRef> Typed(NThreads);
+  std::vector<std::vector<TermRef>> Built(NThreads);
+  std::vector<std::thread> Threads;
+  for (unsigned T = 0; T != NThreads; ++T)
+    Threads.emplace_back([&, T] {
+      Generation::Enter E(G);
+      Subst Ty;
+      Ty.bindTy("hc_a", wordTy(16));
+      Typed[T] = Ty.apply(Rule);
+      for (int I = 0; I != N; ++I) {
+        Subst S = Ty;
+        S.bind("x", 0, Term::mkNum(I, wordTy(16)));
+        Built[T].push_back(S.apply(Rule));
+      }
+    });
+  for (std::thread &Th : Threads)
+    Th.join();
+  for (unsigned T = 1; T != NThreads; ++T) {
+    EXPECT_EQ(Typed[T].get(), Typed[0].get()) << "thread " << T;
+    for (int I = 0; I != N; ++I)
+      ASSERT_EQ(Built[T][I].get(), Built[0][I].get())
+          << "thread " << T << " built a duplicate at " << I;
+  }
+  EXPECT_EQ(printTerm(Built[0][5]),
+            printTerm(mkEq(Term::mkApp(Term::mkConst(
+                                           "hc_k", funTy(wordTy(16),
+                                                         wordTy(16))),
+                                       Term::mkNum(5, wordTy(16))),
+                           Term::mkNum(5, wordTy(16)))));
+}
+
+/// A type instance memoised in a scope dies with it: the next scope and
+/// the unscoped base build a fresh node instead of handing out the
+/// closed scope's.
+TEST(HashCons, TypeInstanceMemoisedInAScopeDiesWithIt) {
+  TypeRef A = Type::var("hc_b");
+  TermRef Rule = mkEq(Term::mkConst("hc_l", A), Term::mkVar("y", 0, A));
+  Subst S;
+  S.bindTy("hc_b", wordTy(64));
+  uint64_t FirstId;
+  std::string Text;
+  {
+    GenerationScope Scope;
+    TermRef T = S.apply(Rule);
+    FirstId = T->id();
+    Text = printTerm(T);
+    EXPECT_EQ(S.apply(Rule).get(), T.get()) << "the memo missed";
+  }
+  uint64_t SecondId;
+  {
+    GenerationScope Scope;
+    TermRef T = S.apply(Rule);
+    SecondId = T->id();
+    EXPECT_GT(SecondId, FirstId) << "a closed scope's type instance";
+    EXPECT_EQ(printTerm(T), Text);
+  }
+  TermRef Base = S.apply(Rule);
+  EXPECT_GT(Base->id(), SecondId) << "a closed scope's type instance";
+  EXPECT_EQ(printTerm(Base), Text);
+}

@@ -3,6 +3,7 @@
 #include "hol/Unify.h"
 
 #include "hol/Builder.h"
+#include "hol/Generation.h"
 
 #include <gtest/gtest.h>
 
@@ -11,6 +12,34 @@ using namespace ac::hol;
 namespace {
 
 TermRef var(const char *N, TypeRef Ty) { return Term::mkVar(N, 0, Ty); }
+
+/// Instantiation in one walk, types and schematics together, with no
+/// memo: the reference the memoised type pass must agree with node for
+/// node.
+TermRef onePass(const Subst &S, const TermRef &T) {
+  if (!T->hasSchematic() && !T->hasTyVar())
+    return T;
+  switch (T->kind()) {
+  case Term::Kind::Const:
+    return Term::mkConst(T->name(), S.applyTy(T->type()));
+  case Term::Kind::Free:
+    return Term::mkFree(T->name(), S.applyTy(T->type()));
+  case Term::Kind::Num:
+    return Term::mkNum(T->value(), S.applyTy(T->type()));
+  case Term::Kind::Var:
+    if (const TermRef *B = S.lookup(T->name(), T->index()))
+      return onePass(S, *B);
+    return Term::mkVar(T->name(), T->index(), S.applyTy(T->type()));
+  case Term::Kind::Lam:
+    return Term::mkLam(T->name(), S.applyTy(T->type()),
+                       onePass(S, T->body()));
+  case Term::Kind::App:
+    return Term::mkApp(onePass(S, T->fun()), onePass(S, T->argTerm()));
+  case Term::Kind::Bound:
+    return T;
+  }
+  return T;
+}
 
 } // namespace
 
@@ -108,4 +137,50 @@ TEST(Unify, FreshenSchematics) {
   EXPECT_FALSE(termEq(T, F));
   // F is ?x' + ?x': both operands carry the freshened index.
   EXPECT_EQ(F->argTerm()->index(), 500u);
+}
+
+/// The memoised type pass hands out the node a one-pass walk builds: for
+/// one type instance under two term bindings, for a second type
+/// instance, with a type variable left unbound, and when a binding's own
+/// type names a bound type variable. Each case runs against a cold and
+/// a warm memo, in the base and in a fresh scope.
+TEST(Unify, TypeInstancesAreExact) {
+  TypeRef A = Type::var("ti_a"), B = Type::var("ti_b");
+  TermRef F = var("f", funTy(A, B));
+  TermRef X = var("x", A);
+  TermRef Y = var("y", B);
+  TermRef Rule = mkConj(mkEq(Term::mkApp(F, X), Y),
+                        mkEq(Term::mkConst("ti_k", funTy(A, B)), F));
+  auto At = [](TypeRef TA, TypeRef TB,
+               std::vector<std::pair<const char *, TermRef>> Tms) {
+    Subst S;
+    if (TA)
+      S.bindTy("ti_a", TA);
+    if (TB)
+      S.bindTy("ti_b", TB);
+    for (auto &[N, T] : Tms)
+      S.bind(N, 0, T);
+    return S;
+  };
+  std::vector<Subst> Cases = {
+      At(natTy(), boolTy(), {{"x", mkNumOf(natTy(), 1)}}),
+      At(natTy(), boolTy(), {{"x", mkNumOf(natTy(), 2)}, {"y", mkTrue()}}),
+      At(wordTy(32), natTy(), {{"x", mkNumOf(wordTy(32), 3)}}),
+      At(natTy(), nullptr, {{"x", mkNumOf(natTy(), 4)}}),
+      At(natTy(), boolTy(), {{"x", Term::mkFree("ti_c", A)}}),
+  };
+  std::vector<TermRef> Want;
+  for (const Subst &S : Cases)
+    Want.push_back(betaNorm(onePass(S, Rule)));
+  EXPECT_TRUE(Want[3]->hasTyVar()) << "ti_b should stay unbound";
+  EXPECT_FALSE(Want[4]->hasTyVar()) << "ti_c's type should be resolved";
+  auto CheckAll = [&](const char *Where) {
+    for (int Pass = 0; Pass != 2; ++Pass)
+      for (size_t I = 0; I != Cases.size(); ++I)
+        EXPECT_EQ(Cases[I].apply(Rule).get(), Want[I].get())
+            << Where << ", case " << I << ", pass " << Pass;
+  };
+  CheckAll("base");
+  GenerationScope Scope;
+  CheckAll("scope");
 }

@@ -14,6 +14,10 @@
 /// tests build the guard/modify spines directly, so the behavior no
 /// longer relies on the randomized harness to be caught.
 ///
+/// The FlowSimp tests pin the normal-form memo to the output of the
+/// simplifier that re-walked every subterm: a loop stopped at the step
+/// cap, a small budget, and a normal node under both branches.
+///
 //===----------------------------------------------------------------------===//
 
 #include "monad/Peephole.h"
@@ -107,6 +111,49 @@ TermRef spine(const std::vector<TermRef> &Steps) {
     Tail = mkBind(Steps[I], Term::mkLam("u", A, Tail));
   }
   return Tail;
+}
+
+/// A chain that the bind-of-return rule unwinds one level per step, all
+/// in the loop of the node it starts at: `bind (return X1) f1`, where
+/// X_k = return X_{k+1} (down to the word 7) and f_k = λv. bind v f_{k+1}
+/// (down to λx. return x). Every subterm is normal already, so the
+/// \p Levels steps all fire at the root.
+TermRef unwindChain(unsigned Levels) {
+  TypeRef S = stateTy(), E = unitTy();
+  // Ty[K] is X_K's type: the word, then one monad around it per level.
+  std::vector<TypeRef> Ty(Levels + 1);
+  Ty[Levels] = wordTy(32);
+  for (unsigned K = Levels; K-- > 1;)
+    Ty[K] = monadTy(S, Ty[K + 1], E);
+  TypeRef Res = monadTy(S, wordTy(32), E);
+  TermRef X = Term::mkNum(7, wordTy(32));
+  for (unsigned K = Levels; K-- > 1;)
+    X = mkReturn(S, E, X);
+  // Built by hand: the binder's variable is open, so typeOf cannot type
+  // it for mkReturn/mkBind.
+  TermRef Ret = Term::mkConst(nm::Return, funTy(wordTy(32), Res));
+  TermRef F = Term::mkLam("x", wordTy(32), Term::mkApp(Ret, Term::mkBound(0)));
+  for (unsigned K = Levels; K-- > 1;) {
+    TermRef BindC = Term::mkConst(
+        nm::Bind, funTys({Ty[K], funTy(Ty[K + 1], Res)}, Res));
+    F = Term::mkLam("v", Ty[K], mkApps(BindC, {Term::mkBound(0), F}));
+  }
+  return mkBind(mkReturn(S, E, X), F);
+}
+
+/// condition (λs. b) Chain (return 0), bound to an opaque g, behind a
+/// skip: the skip step hands the condition's bind back to the
+/// simplifier after Chain's loop stopped at the cap.
+TermRef chainBehindSkip(unsigned Levels) {
+  TypeRef S = stateTy(), E = unitTy();
+  TermRef Cond =
+      mkCondition(Term::mkLam("s", S, Term::mkFree("b", boolTy())),
+                  unwindChain(Levels),
+                  mkReturn(S, E, Term::mkNum(0, wordTy(32))));
+  TermRef G = Term::mkFree(
+      "g", funTy(wordTy(32), monadTy(S, wordTy(32), E)));
+  return mkBind(mkSkip(S, E),
+                Term::mkLam("u", unitTy(), mkBind(Cond, G)));
 }
 
 unsigned countGuards(const TermRef &T) {
@@ -205,4 +252,75 @@ TEST(GuardDedup, ValidityWriteClearsAllGuardKnowledge) {
   EXPECT_EQ(countGuards(Out), 2u)
       << "non-data-only writes must clear the seen set; got:\n"
       << printTerm(Out);
+}
+
+//===----------------------------------------------------------------------===//
+// Exactness of the normal-form memo: the expected texts are what the
+// simplifier printed before it remembered normal nodes.
+//===----------------------------------------------------------------------===//
+
+TEST(FlowSimp, RootLoopStopsAtTheStepCap) {
+  // 103 levels: the root's loop stops after 100 steps, three short.
+  TermRef Out = monad::simplifyMonadTerm(unwindChain(103));
+  EXPECT_EQ(printTerm(Out),
+            "do v ← return (return (return 7));\n"
+            "   v' ← v;\n"
+            "   v'\n"
+            "od");
+}
+
+TEST(FlowSimp, CappedResultIsSimplifiedAgainWhenRevisited) {
+  // The chain stops at the cap inside the condition; after the skip
+  // step its enclosing bind is simplified again, which finishes it. A
+  // memo that counted the capped subterm's ancestors as normal would
+  // hand the 20 levels left back unsimplified.
+  TermRef Out = monad::simplifyMonadTerm(chainBehindSkip(120));
+  EXPECT_EQ(printTerm(Out), "bind (return (if b then 7 else 0)) g");
+}
+
+TEST(FlowSimp, SmallBudgetStopsEarly) {
+  TermRef Out = monad::simplifyMonadTerm(chainBehindSkip(8), 3);
+  EXPECT_EQ(printTerm(Out),
+            "do skip;\n"
+            "   bind\n"
+            "     (condition\n"
+            "       (λs. b)\n"
+            "       do v ← return (return (return (return (return (return 7)))));\n"
+            "          v' ← v;\n"
+            "          v'1 ← v';\n"
+            "          v'2 ← v'1;\n"
+            "          v'3 ← v'2;\n"
+            "          v'3\n"
+            "       od\n"
+            "       (return 0))\n"
+            "     g\n"
+            "od");
+}
+
+TEST(FlowSimp, NormalSubtermSharedByBothBranches) {
+  // One normal node under both branches: the second visit is a memo hit
+  // and must print as the first did.
+  TermRef P = ptrFree("p");
+  TermRef G = mkStateGuard(validRead(P));
+  TermRef Gets = mkGets(stateTy(), unitTy(),
+                        Term::mkLam("s", stateTy(), heapRead(P)));
+  TermRef Shared = spine({G, Gets});
+  TypeRef WTy = typeOf(Shared);
+  TermRef K1 = Term::mkFree("k1", funTy(wordTy(32), WTy));
+  TermRef K2 = Term::mkFree("k2", funTy(wordTy(32), WTy));
+  TermRef In = mkCondition(
+      Term::mkLam("s", stateTy(), Term::mkFree("b", boolTy())),
+      mkBind(Shared, K1), mkBind(Shared, K2));
+  TermRef Out = monad::simplifyMonadTerm(In);
+  EXPECT_EQ(printTerm(Out),
+            "condition\n"
+            "  (λs. b)\n"
+            "  do guard (λs. is_valid_w32 s p);\n"
+            "     gets (λs. s[p]);\n"
+            "     k1 0\n"
+            "  od\n"
+            "  do guard (λs. is_valid_w32 s p);\n"
+            "     gets (λs. s[p]);\n"
+            "     k2 0\n"
+            "  od");
 }

@@ -203,6 +203,39 @@ TEST(Protocol, ErrorEnvelopeRoundTrips) {
   EXPECT_EQ(Back.RetryAfterMs, 75u);
 }
 
+/// A response decoded into an object that already holds one is exactly
+/// the new response: its function and diagnostic lists replace the old
+/// ones instead of growing them.
+TEST(Protocol, DecodingReplacesWhatTheObjectHeld) {
+  auto Response = [](std::vector<std::string> Fns,
+                     std::vector<std::string> Diags) {
+    CheckResponse R;
+    R.Ok = true;
+    for (const std::string &N : Fns) {
+      FuncResult F;
+      F.Name = N;
+      F.Render = N + "' ==\nreturn 0";
+      R.Functions.push_back(std::move(F));
+    }
+    R.Diagnostics = std::move(Diags);
+    R.NumFunctions = static_cast<unsigned>(R.Functions.size());
+    return R;
+  };
+  CheckResponse First = Response({"f", "g", "h"}, {"note: first"});
+  CheckResponse Second = Response({"k"}, {"note: a", "note: b"});
+  CheckResponse Out;
+  std::string Err;
+  ASSERT_TRUE(CheckResponse::fromJson(First.toJson(), Out, Err)) << Err;
+  ASSERT_EQ(Out.Functions.size(), 3u);
+  ASSERT_TRUE(CheckResponse::fromJson(Second.toJson(), Out, Err)) << Err;
+  ASSERT_EQ(Out.Functions.size(), 1u);
+  EXPECT_EQ(Out.Functions[0].Name, "k");
+  EXPECT_EQ(Out.Functions[0].Render, "k' ==\nreturn 0");
+  EXPECT_EQ(Out.Diagnostics,
+            (std::vector<std::string>{"note: a", "note: b"}));
+  EXPECT_EQ(Out.NumFunctions, 1u);
+}
+
 TEST(Protocol, ErrorCodeNamesRoundTrip) {
   for (ErrorCode E :
        {ErrorCode::None, ErrorCode::Busy, ErrorCode::Draining,
