@@ -22,7 +22,8 @@
 #      cache tiers and a shared pool, exactly where lifetime bugs hide —
 #      and of test_hol_hashcons, which catches a node used after its
 #      request generation closed, and test_peephole and test_hol_unify,
-#      whose normal-form memo and type-instance memo key on nodes.
+#      whose normal-form memo and type-instance memo key on node ids and
+#      hand stored nodes back.
 #   5. Daemon golden round trip: start a real acd, require acc to refuse
 #      a negative, non-numeric or empty --jobs (exit 2) and answer a
 #      --jobs with no value with the usage alone (exit 2), acd to refuse

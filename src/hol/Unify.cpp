@@ -131,27 +131,27 @@ TermRef Subst::apply(const TermRef &T) const {
 // TypeInstances
 //===----------------------------------------------------------------------===//
 
-static void collectTyVars(const TypeRef &Ty, std::vector<TypeRef> &Vars) {
+static void collectTyVars(const Type *Ty, std::vector<const Type *> &Vars) {
   if (!Ty->hasVar())
     return;
   if (!Ty->isVar()) {
     for (const TypeRef &A : Ty->args())
-      collectTyVars(A, Vars);
+      collectTyVars(A.get(), Vars);
     return;
   }
-  for (const TypeRef &V : Vars)
-    if (V->name() == Ty->name())
+  for (const Type *V : Vars)
+    if (V == Ty)
       return;
   Vars.push_back(Ty);
 }
 
-static void collectTyVars(const TermRef &T, std::vector<TypeRef> &Vars,
-                          std::unordered_set<const Term *> &Seen) {
-  if (!T->hasTyVar() || !Seen.insert(T.get()).second)
+static void collectTyVars(const TermRef &T, std::vector<const Type *> &Vars,
+                          std::unordered_set<uint64_t> &Seen) {
+  if (!T->hasTyVar() || !Seen.insert(T->id()).second)
     return;
   switch (T->kind()) {
   case Term::Kind::Lam:
-    collectTyVars(T->type(), Vars);
+    collectTyVars(T->type().get(), Vars);
     collectTyVars(T->body(), Vars, Seen);
     return;
   case Term::Kind::App:
@@ -161,7 +161,7 @@ static void collectTyVars(const TermRef &T, std::vector<TypeRef> &Vars,
   case Term::Kind::Bound:
     return;
   default:
-    collectTyVars(T->type(), Vars);
+    collectTyVars(T->type().get(), Vars);
     return;
   }
 }
@@ -174,42 +174,38 @@ TypeInstances &TypeInstances::current() {
   return *Base;
 }
 
+size_t TypeInstances::KeyHash::operator()(const std::vector<uint64_t> &K) const {
+  size_t H = 0;
+  for (uint64_t Id : K)
+    H = H * 1000003 ^ std::hash<uint64_t>()(Id);
+  return H;
+}
+
 TermRef TypeInstances::get(const Subst &S, const TermRef &T) {
-  Shard &Sh = Shards[T->id() % ShardCount];
-  Entry *E;
+  std::vector<uint64_t> Key{T->id()};
   {
-    std::lock_guard<std::mutex> L(Sh.M);
-    auto It = Sh.Entries.find(T.get());
-    E = It == Sh.Entries.end() ? nullptr : &It->second;
-  }
-  if (!E) {
-    Entry Fresh;
-    std::unordered_set<const Term *> Seen;
-    collectTyVars(T, Fresh.Vars, Seen);
-    std::lock_guard<std::mutex> L(Sh.M);
-    E = &Sh.Entries.try_emplace(T.get(), std::move(Fresh)).first->second;
-  }
-  // Vars never changes once the entry is in, so it is read unlocked.
-  std::vector<uint64_t> Key;
-  Key.reserve(E->Vars.size());
-  bool Moved = false;
-  for (const TypeRef &V : E->Vars) {
-    Key.push_back(S.applyTy(V)->id());
-    Moved = Moved || Key.back() != V->id();
-  }
-  if (!Moved)
-    return T;
-  {
-    std::lock_guard<std::mutex> L(Sh.M);
-    auto It = E->Instances.find(Key);
-    if (It != E->Instances.end())
-      return TermRef(TermRef(), It->second);
+    std::lock_guard<std::mutex> L(M);
+    auto [It, Fresh] = Vars.try_emplace(T->id());
+    if (Fresh) {
+      std::unordered_set<uint64_t> Seen;
+      collectTyVars(T, It->second, Seen);
+    }
+    bool Moved = false;
+    for (const Type *V : It->second) {
+      Key.push_back(S.applyTy(TypeRef(TypeRef(), V))->id());
+      Moved = Moved || Key.back() != V->id();
+    }
+    if (!Moved)
+      return T;
+    auto Hit = Instances.find(Key);
+    if (Hit != Instances.end())
+      return TermRef(TermRef(), Hit->second);
   }
   TermRef Typed = instTypes(S, T);
-  std::lock_guard<std::mutex> L(Sh.M);
+  std::lock_guard<std::mutex> L(M);
   // A thread of the same generation may have stored it meanwhile; the
   // interner gave both the same node.
-  E->Instances.emplace(std::move(Key), Typed.get());
+  Instances.emplace(std::move(Key), Typed.get());
   return Typed;
 }
 

@@ -64,20 +64,19 @@ public:
   static TypeInstances &current();
 
 private:
-  struct Entry {
-    /// The type variables of the term, in first-occurrence order.
-    std::vector<TypeRef> Vars;
-    /// The term under each resolution of Vars, keyed by the intern ids
-    /// of the types they resolve to (types are immortal).
-    std::map<std::vector<uint64_t>, const Term *> Instances;
+  struct KeyHash {
+    size_t operator()(const std::vector<uint64_t> &K) const;
   };
-  struct Shard {
-    std::mutex M;
-    /// Node-based, so an Entry stays put while other keys are added.
-    std::unordered_map<const Term *, Entry> Entries;
-  };
-  static constexpr unsigned ShardCount = 16;
-  Shard Shards[ShardCount];
+
+  /// Guards both maps; the pool threads of one generation share them.
+  std::mutex M;
+  /// By term id: the type variables of the term, in first-occurrence
+  /// order (types are immortal, so the pointers stay valid).
+  std::unordered_map<uint64_t, std::vector<const Type *>> Vars;
+  /// By the term's id followed by the ids of the types its Vars resolve
+  /// to: the term under that instance.
+  std::unordered_map<std::vector<uint64_t>, const Term *, KeyHash>
+      Instances;
 };
 
 /// A substitution for schematic type and term variables.

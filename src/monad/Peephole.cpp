@@ -122,14 +122,6 @@ struct Spine {
   }
 };
 
-/// The name of \p T's head constant, or empty.
-std::string_view headName(const TermRef &T) {
-  const Term *H = T.get();
-  while (H->isApp())
-    H = H->fun().get();
-  return H->isConst() ? std::string_view(H->name()) : std::string_view();
-}
-
 class Peephole {
 public:
   explicit Peephole(unsigned Budget) : Budget(Budget) {}
@@ -292,7 +284,7 @@ private:
       // Only push the continuation into the branches when both are
       // trivial (return/throw) AND the continuation is small: that
       // collapses the max-style pattern without duplicating real code.
-      std::string_view X = headName(CA[1]), Y = headName(CA[2]);
+      std::string_view X = Spine(CA[1]).Name, Y = Spine(CA[2]).Name;
       bool BranchesTrivial = (X == nm::Throw || X == nm::Return) &&
                              (Y == nm::Throw || Y == nm::Return);
       if (BranchesTrivial && F->size() <= 24) {
