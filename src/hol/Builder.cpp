@@ -77,19 +77,25 @@ TermRef ac::hol::mkIte(TermRef C, TermRef T, TermRef E) {
   return mkApps(IteC, {std::move(C), std::move(T), std::move(E)});
 }
 
-bool ac::hol::destConstApp(const TermRef &T, const std::string &Name,
+bool ac::hol::destConstApp(const TermRef &T, std::string_view Name,
                            unsigned Arity, std::vector<TermRef> &Args) {
   TermRef Head = stripApp(T, Args);
   return Head->isConst(Name) && Args.size() == Arity;
 }
 
-bool ac::hol::destImp(const TermRef &T, TermRef &A, TermRef &B) {
-  std::vector<TermRef> Args;
-  if (!destConstApp(T, nm::Implies, 2, Args))
+/// `Name A B`: the binary connectives, read off the node without
+/// collecting the spine (the kernel takes them apart at every step).
+static bool destBinary(const TermRef &T, std::string_view Name, TermRef &A,
+                       TermRef &B) {
+  if (!T->isApp() || !T->fun()->isApp() || !T->fun()->fun()->isConst(Name))
     return false;
-  A = Args[0];
-  B = Args[1];
+  A = T->fun()->argTerm();
+  B = T->argTerm();
   return true;
+}
+
+bool ac::hol::destImp(const TermRef &T, TermRef &A, TermRef &B) {
+  return destBinary(T, nm::Implies, A, B);
 }
 
 void ac::hol::stripImps(TermRef T, std::vector<TermRef> &Premises,
@@ -104,28 +110,17 @@ void ac::hol::stripImps(TermRef T, std::vector<TermRef> &Premises,
 }
 
 bool ac::hol::destEq(const TermRef &T, TermRef &L, TermRef &R) {
-  std::vector<TermRef> Args;
-  if (!destConstApp(T, nm::Eq, 2, Args))
-    return false;
-  L = Args[0];
-  R = Args[1];
-  return true;
+  return destBinary(T, nm::Eq, L, R);
 }
 
 bool ac::hol::destConj(const TermRef &T, TermRef &L, TermRef &R) {
-  std::vector<TermRef> Args;
-  if (!destConstApp(T, nm::Conj, 2, Args))
-    return false;
-  L = Args[0];
-  R = Args[1];
-  return true;
+  return destBinary(T, nm::Conj, L, R);
 }
 
 bool ac::hol::destAll(const TermRef &T, TermRef &Lam) {
-  std::vector<TermRef> Args;
-  if (!destConstApp(T, nm::All, 1, Args))
+  if (!T->isApp() || !T->fun()->isConst(nm::All))
     return false;
-  Lam = Args[0];
+  Lam = T->argTerm();
   return true;
 }
 

@@ -54,7 +54,7 @@ bool destConj(const TermRef &T, TermRef &L, TermRef &R);
 bool destAll(const TermRef &T, TermRef &Lam);
 /// Decomposes `h a1 .. an` where h is the constant \p Name with exactly
 /// \p Arity arguments.
-bool destConstApp(const TermRef &T, const std::string &Name, unsigned Arity,
+bool destConstApp(const TermRef &T, std::string_view Name, unsigned Arity,
                   std::vector<TermRef> &Args);
 
 //===----------------------------------------------------------------------===//

@@ -17,6 +17,21 @@ static size_t combineHash(size_t A, size_t B) {
   return A ^ (B + 0x9e3779b97f4a7c15ULL + (A << 6) + (A >> 2));
 }
 
+/// The store key of a node whose match compares \p A and \p B. A node's
+/// hash() is alpha-invariant (termEq rejects on it), so alpha-variants
+/// and same-name Frees at different types share it, and a lookup keyed
+/// on it walked past every other member of its class. The key mixes in
+/// exactly what the factory's match compares (child and type ids, the
+/// name), so a lookup meets only real candidates.
+static size_t internKey(uint64_t A, uint64_t B) {
+  uint64_t X = combineHash(A * 0x9e3779b97f4a7c15ULL, B);
+  X ^= X >> 33;
+  X *= 0xff51afd7ed558ccdULL;
+  X ^= X >> 33;
+  X *= 0xc4ceb9fe1a85ec53ULL;
+  return X ^ (X >> 33);
+}
+
 /// The base store every term factory funnels through (see Intern.h),
 /// alone or under the current request generation. Every structurally
 /// distinct node is built once in the stores a lookup sees; children of
@@ -36,7 +51,7 @@ size_t ac::hol::internedTermCount() {
 }
 
 template <typename EqFn, typename MakeFn>
-TermRef Term::intern(size_t Hash, bool YoungChild, EqFn Eq, MakeFn Make) {
+TermRef Term::intern(size_t Key, bool YoungChild, EqFn Eq, MakeFn Make) {
   if (Generation *G = Generation::current()) {
     auto MakeYoung = [&](uint64_t Id) {
       Term T = Make(Id);
@@ -46,10 +61,10 @@ TermRef Term::intern(size_t Hash, bool YoungChild, EqFn Eq, MakeFn Make) {
     // A base node has base children only, so a node over a generation's
     // node can only be in that generation: the base need not be probed.
     if (YoungChild)
-      return G->terms().get(Hash, Eq, MakeYoung);
-    return G->terms().getOver(termStore(), Hash, Eq, MakeYoung);
+      return G->terms().get(Key, Eq, MakeYoung);
+    return G->terms().getOver(termStore(), Key, Eq, MakeYoung);
   }
-  return termStore().get(Hash, Eq, [&](uint64_t Id) {
+  return termStore().get(Key, Eq, [&](uint64_t Id) {
     Term T = Make(Id);
     assert(!(T.A && T.A->InGeneration) && !(T.B && T.B->InGeneration) &&
            "a base node points into a request generation");
@@ -124,13 +139,18 @@ TermRef Term::mkConst(const std::string &Name, TypeRef Ty) {
       });
 }
 
+uint32_t Term::freeBit(const std::string &Name) {
+  return uint32_t(1) << (std::hash<std::string>()(Name) % 32);
+}
+
 TermRef Term::mkFree(const std::string &Name, TypeRef Ty) {
   assert(Ty && "free variable requires a type");
-  // The hash keys the name only (as termEq compares Frees); same-name
-  // Frees at different types share a bucket and are split by the match.
-  size_t H = combineHash(std::hash<std::string>()(Name), 0x22);
+  // The hash keys the name only (as termEq compares Frees); the store
+  // key adds the type, so same-name Frees at other types are not probed.
+  size_t NameH = std::hash<std::string>()(Name);
+  size_t H = combineHash(NameH, 0x22);
   return intern(
-      H, false,
+      internKey(Ty->id(), NameH), false,
       [&](const Term &R) {
         return R.isFree() && R.Ty == Ty.get() && *R.Name == Name;
       },
@@ -140,6 +160,7 @@ TermRef Term::mkFree(const std::string &Name, TypeRef Ty) {
         T.Name = internName(Name);
         T.Hash = H;
         T.Id = Id;
+        T.FreeMask = freeBit(Name);
         T.TyVar = Ty->hasVar();
         T.Ty = Ty.get();
         return T;
@@ -188,11 +209,14 @@ TermRef Term::mkBound(unsigned Index) {
 TermRef Term::mkLam(const std::string &Name, TypeRef ArgTy, TermRef Body) {
   assert(ArgTy && Body && "lambda requires argument type and body");
   // The hash ignores the display name (as alpha-equality does); the
-  // interner's match keys on it so printing is preserved exactly.
+  // interner's match and store key take it, so printing is preserved
+  // exactly.
   size_t H = combineHash(0x55, Body->hash());
   H = combineHash(H, ArgTy->hash());
   return intern(
-      H, Body->InGeneration,
+      internKey(Body->id(),
+                combineHash(ArgTy->id(), std::hash<std::string>()(Name))),
+      Body->InGeneration,
       [&](const Term &R) {
         return R.isLam() && R.A == Body.get() &&
                R.Ty == ArgTy.get() && *R.Name == Name;
@@ -205,6 +229,7 @@ TermRef Term::mkLam(const std::string &Name, TypeRef ArgTy, TermRef Body) {
         T.Id = Id;
         T.Size = 1 + Body->size();
         T.MaxLoose = Body->maxLoose() > 0 ? Body->maxLoose() - 1 : 0;
+        T.FreeMask = Body->freeMask();
         T.Schematic = Body->hasSchematic();
         T.TyVar = ArgTy->hasVar() || Body->hasTyVar();
         T.BetaNormal = Body->isBetaNormal();
@@ -218,7 +243,7 @@ TermRef Term::mkApp(TermRef F, TermRef X) {
   assert(F && X && "application requires both terms");
   size_t H = combineHash(F->hash(), X->hash());
   return intern(
-      H, F->InGeneration || X->InGeneration,
+      internKey(F->id(), X->id()), F->InGeneration || X->InGeneration,
       [&](const Term &R) {
         return R.isApp() && R.A == F.get() && R.B == X.get();
       },
@@ -229,6 +254,7 @@ TermRef Term::mkApp(TermRef F, TermRef X) {
         T.Id = Id;
         T.Size = 1 + F->size() + X->size();
         T.MaxLoose = std::max(F->maxLoose(), X->maxLoose());
+        T.FreeMask = F->freeMask() | X->freeMask();
         T.Schematic = F->hasSchematic() || X->hasSchematic();
         T.TyVar = F->hasTyVar() || X->hasTyVar();
         T.BetaNormal =
@@ -368,6 +394,10 @@ TermRef ac::hol::substBound(const TermRef &Body, const TermRef &Arg,
                             unsigned Depth) {
   if (Body->maxLoose() <= Depth)
     return Body; // No reference to Bound(Depth) or anything looser.
+  // Bound(0) lifted to Bound(Depth) is Bound(Depth) again, so with nothing
+  // looser the body comes back as it was: `(%x. B) x` under a binder.
+  if (Arg->isBound() && Arg->index() == 0 && Body->maxLoose() == Depth + 1)
+    return Body;
   switch (Body->kind()) {
   case Term::Kind::Bound:
     if (Body->index() == Depth)
@@ -417,22 +447,27 @@ TermRef ac::hol::betaNorm(const TermRef &T) {
   }
 }
 
-TermRef ac::hol::substFree(const TermRef &T, const std::string &Name,
-                           const TermRef &Repl) {
+// The free-variable walks below skip a subterm whose freeMask() lacks
+// the name's bit: no Free of that name occurs in it.
+
+static TermRef substFree(const TermRef &T, const std::string &Name,
+                         uint32_t Bit, const TermRef &Repl) {
+  if (!(T->freeMask() & Bit))
+    return T;
   switch (T->kind()) {
   case Term::Kind::Free:
     if (T->name() == Name)
       return Repl;
     return T;
   case Term::Kind::Lam: {
-    TermRef B = substFree(T->body(), Name, liftLoose(Repl, 1));
+    TermRef B = substFree(T->body(), Name, Bit, liftLoose(Repl, 1));
     if (B.get() == T->body().get())
       return T;
     return Term::mkLam(T->name(), T->type(), std::move(B));
   }
   case Term::Kind::App: {
-    TermRef F = substFree(T->fun(), Name, Repl);
-    TermRef X = substFree(T->argTerm(), Name, Repl);
+    TermRef F = substFree(T->fun(), Name, Bit, Repl);
+    TermRef X = substFree(T->argTerm(), Name, Bit, Repl);
     if (F.get() == T->fun().get() && X.get() == T->argTerm().get())
       return T;
     return Term::mkApp(std::move(F), std::move(X));
@@ -442,20 +477,35 @@ TermRef ac::hol::substFree(const TermRef &T, const std::string &Name,
   }
 }
 
-bool ac::hol::occursFree(const TermRef &T, const std::string &Name) {
+TermRef ac::hol::substFree(const TermRef &T, const std::string &Name,
+                           const TermRef &Repl) {
+  return ::substFree(T, Name, Term::freeBit(Name), Repl);
+}
+
+static bool occursFree(const TermRef &T, const std::string &Name,
+                       uint32_t Bit) {
+  if (!(T->freeMask() & Bit))
+    return false;
   switch (T->kind()) {
   case Term::Kind::Free:
     return T->name() == Name;
   case Term::Kind::Lam:
-    return occursFree(T->body(), Name);
+    return occursFree(T->body(), Name, Bit);
   case Term::Kind::App:
-    return occursFree(T->fun(), Name) || occursFree(T->argTerm(), Name);
+    return occursFree(T->fun(), Name, Bit) ||
+           occursFree(T->argTerm(), Name, Bit);
   default:
     return false;
   }
 }
 
+bool ac::hol::occursFree(const TermRef &T, const std::string &Name) {
+  return ::occursFree(T, Name, Term::freeBit(Name));
+}
+
 static void collectFrees(const TermRef &T, std::vector<std::string> &Out) {
+  if (!T->freeMask())
+    return;
   switch (T->kind()) {
   case Term::Kind::Free:
     for (const std::string &N : Out)
@@ -482,7 +532,10 @@ std::vector<std::string> ac::hol::freeVars(const TermRef &T) {
 }
 
 static TermRef abstractFree(const TermRef &T, const std::string &Name,
-                            unsigned Depth) {
+                            uint32_t Bit, unsigned Depth) {
+  // Neither the name nor a bound that must move past the new binder.
+  if (!(T->freeMask() & Bit) && T->maxLoose() <= Depth)
+    return T;
   switch (T->kind()) {
   case Term::Kind::Free:
     if (T->name() == Name)
@@ -496,14 +549,14 @@ static TermRef abstractFree(const TermRef &T, const std::string &Name,
   case Term::Kind::Lam: {
     // An unchanged subterm comes back as the node itself: re-interning it
     // would find the same node.
-    TermRef B = abstractFree(T->body(), Name, Depth + 1);
+    TermRef B = abstractFree(T->body(), Name, Bit, Depth + 1);
     if (B.get() == T->body().get())
       return T;
     return Term::mkLam(T->name(), T->type(), std::move(B));
   }
   case Term::Kind::App: {
-    TermRef F = abstractFree(T->fun(), Name, Depth);
-    TermRef X = abstractFree(T->argTerm(), Name, Depth);
+    TermRef F = abstractFree(T->fun(), Name, Bit, Depth);
+    TermRef X = abstractFree(T->argTerm(), Name, Bit, Depth);
     if (F.get() == T->fun().get() && X.get() == T->argTerm().get())
       return T;
     return Term::mkApp(std::move(F), std::move(X));
@@ -515,5 +568,6 @@ static TermRef abstractFree(const TermRef &T, const std::string &Name,
 
 TermRef ac::hol::lambdaFree(const std::string &Name, TypeRef Ty,
                             const TermRef &T) {
-  return Term::mkLam(Name, std::move(Ty), abstractFree(T, Name, 0));
+  return Term::mkLam(Name, std::move(Ty),
+                     abstractFree(T, Name, Term::freeBit(Name), 0));
 }

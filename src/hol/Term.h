@@ -19,10 +19,11 @@
 /// request generation if any) and canonical references to equal
 /// structure are pointer-equal. Each node carries a unique intern id (an O(1) memo key)
 /// and caches its hash, its size (the "term size" metric of Table 5 — the
-/// number of AST nodes), the number of loose bound variables, whether
-/// schematics occur, whether type variables occur, whether the node is
-/// already in beta normal form, and (lazily) the type of closed terms —
-/// so the unifier, the rewriters and the statistics pass are cheap.
+/// number of AST nodes), the number of loose bound variables, a mask of
+/// the free-variable names below it, whether schematics occur, whether
+/// type variables occur, whether the node is already in beta normal
+/// form, and (lazily) the type of closed terms — so the unifier, the
+/// rewriters and the statistics pass are cheap.
 ///
 /// Note the interner's equality is *full structural identity* (it keys
 /// Free and Var nodes on their types and Lam nodes on their display
@@ -115,6 +116,12 @@ public:
   unsigned size() const { return Size; }
   /// 0 for closed-under-binders terms, else 1 + max loose de Bruijn index.
   unsigned maxLoose() const { return MaxLoose; }
+  /// The union of freeBit() over the Free nodes below: a clear bit means
+  /// no Free of that name occurs, so the free-variable walks skip the
+  /// subterm.
+  uint32_t freeMask() const { return FreeMask; }
+  /// The bit a Free named \p Name sets in freeMask().
+  static uint32_t freeBit(const std::string &Name);
   bool hasSchematic() const { return Schematic; }
   /// True if a type variable occurs in any type inside this term. A term
   /// with neither schematics nor type variables is fixed by any Subst.
@@ -141,8 +148,8 @@ public:
         Hash(O.Hash), Id(O.Id),
         CachedTy(O.CachedTy.load(std::memory_order_relaxed)), K(O.K),
         Index(O.Index), Size(O.Size), MaxLoose(O.MaxLoose),
-        Schematic(O.Schematic), TyVar(O.TyVar), BetaNormal(O.BetaNormal),
-        InGeneration(O.InGeneration) {}
+        FreeMask(O.FreeMask), Schematic(O.Schematic), TyVar(O.TyVar),
+        BetaNormal(O.BetaNormal), InGeneration(O.InGeneration) {}
 
   //===--------------------------------------------------------------------===//
   // Factories (all interning: equal structure => same node)
@@ -160,10 +167,11 @@ private:
   Term() : Name(&noName()) {}
   static const std::string &noName();
   /// Every factory's lookup (Term.cpp): the current request generation
-  /// over the base store, or the base store alone. \p YoungChild: a child
-  /// of the prospective node was built in a generation.
+  /// over the base store, or the base store alone, probed at \p Key.
+  /// \p YoungChild: a child of the prospective node was built in a
+  /// generation.
   template <typename EqFn, typename MakeFn>
-  static TermRef intern(size_t Hash, bool YoungChild, EqFn Eq, MakeFn Make);
+  static TermRef intern(size_t Key, bool YoungChild, EqFn Eq, MakeFn Make);
 
   // Base nodes are immortal and a request generation can hold hundreds
   // of thousands of nodes, so the layout is packed: children and types
@@ -183,6 +191,7 @@ private:
   unsigned Index = 0;
   unsigned Size = 1;
   unsigned MaxLoose = 0;
+  uint32_t FreeMask = 0;
   bool Schematic = false;
   bool TyVar = false;
   bool BetaNormal = true;

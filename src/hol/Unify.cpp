@@ -4,6 +4,7 @@
 
 #include "hol/Generation.h"
 
+#include <algorithm>
 #include <functional>
 #include <unordered_set>
 
@@ -17,10 +18,8 @@ TypeRef Subst::applyTy(const TypeRef &T) const {
   if (!T || !T->hasVar())
     return T;
   if (T->isVar()) {
-    auto It = TyMap.find(T->name());
-    if (It == TyMap.end())
-      return T;
-    return applyTy(It->second);
+    const TypeRef *B = lookupTy(T->name());
+    return B ? applyTy(*B) : T;
   }
   std::vector<TypeRef> Args;
   bool Changed = false;
@@ -90,11 +89,13 @@ static TermRef instTypes(const Subst &S, const TermRef &T) {
 
 /// The term pass over a term whose types are resolved: each bound
 /// schematic becomes its binding, instantiated in turn (a binding is not
-/// memoised: it is whatever term the caller matched). Only the paths to
-/// schematics are rebuilt.
+/// memoised: it is whatever term the caller matched), and the result is
+/// betaNorm of the substituted term. Only the paths to schematics are
+/// rebuilt, once: a redex that a binding forms is contracted where it
+/// forms, so neither the redex nor a second walk down to it is built.
 static TermRef instTerms(const Subst &S, const TermRef &T) {
   if (!T->hasSchematic())
-    return T;
+    return betaNorm(T);
   switch (T->kind()) {
   case Term::Kind::Var:
     if (const TermRef *B = S.lookup(T->name(), T->index()))
@@ -109,9 +110,13 @@ static TermRef instTerms(const Subst &S, const TermRef &T) {
   case Term::Kind::App: {
     TermRef F = instTerms(S, T->fun());
     TermRef X = instTerms(S, T->argTerm());
-    if (F.get() == T->fun().get() && X.get() == T->argTerm().get())
-      return T;
-    return Term::mkApp(std::move(F), std::move(X));
+    if (F->isLam())
+      return betaNorm(substBound(F->body(), X));
+    TermRef R = F.get() == T->fun().get() && X.get() == T->argTerm().get()
+                    ? T
+                    : Term::mkApp(std::move(F), std::move(X));
+    // Both sides are normal; only a projection redex can remain.
+    return R->isBetaNormal() ? R : betaNorm(R);
   }
   default:
     return T;
@@ -121,10 +126,10 @@ static TermRef instTerms(const Subst &S, const TermRef &T) {
 TermRef Subst::apply(const TermRef &T) const {
   if (empty() || (!T->hasSchematic() && !T->hasTyVar()))
     return betaNorm(T);
-  TermRef Typed = TyMap.empty() || !T->hasTyVar()
+  TermRef Typed = TyBinds.empty() || !T->hasTyVar()
                       ? T
                       : TypeInstances::current().get(*this, T);
-  return betaNorm(instTerms(*this, Typed));
+  return instTerms(*this, Typed);
 }
 
 //===----------------------------------------------------------------------===//
@@ -182,7 +187,7 @@ size_t TypeInstances::KeyHash::operator()(const std::vector<uint64_t> &K) const 
 }
 
 TermRef TypeInstances::get(const Subst &S, const TermRef &T) {
-  std::vector<uint64_t> Key{T->id()};
+  std::vector<uint64_t> Key;
   {
     std::lock_guard<std::mutex> L(M);
     auto [It, Fresh] = Vars.try_emplace(T->id());
@@ -190,6 +195,8 @@ TermRef TypeInstances::get(const Subst &S, const TermRef &T) {
       std::unordered_set<uint64_t> Seen;
       collectTyVars(T, It->second, Seen);
     }
+    Key.reserve(1 + It->second.size());
+    Key.push_back(T->id());
     bool Moved = false;
     for (const Type *V : It->second) {
       Key.push_back(S.applyTy(TypeRef(TypeRef(), V))->id());
@@ -209,15 +216,41 @@ TermRef TypeInstances::get(const Subst &S, const TermRef &T) {
   return Typed;
 }
 
+const TypeRef *Subst::lookupTy(const std::string &Name) const {
+  for (const TyBinding &B : TyBinds)
+    if (B.first == Name)
+      return &B.second;
+  return nullptr;
+}
+
 void Subst::bindTy(const std::string &Name, TypeRef T) {
-  TyMap[Name] = std::move(T);
+  auto It = std::lower_bound(
+      TyBinds.begin(), TyBinds.end(), Name,
+      [](const TyBinding &B, const std::string &N) { return B.first < N; });
+  if (It != TyBinds.end() && It->first == Name)
+    It->second = std::move(T);
+  else
+    TyBinds.emplace(It, Name, std::move(T));
 }
+
 void Subst::bind(const std::string &Name, unsigned Index, TermRef T) {
-  TmMap[{Name, Index}] = std::move(T);
+  std::pair<std::string, unsigned> Key(Name, Index);
+  auto It = std::lower_bound(
+      TmBinds.begin(), TmBinds.end(), Key,
+      [](const TmBinding &B, const std::pair<std::string, unsigned> &K) {
+        return B.first < K;
+      });
+  if (It != TmBinds.end() && It->first == Key)
+    It->second = std::move(T);
+  else
+    TmBinds.emplace(It, std::move(Key), std::move(T));
 }
+
 const TermRef *Subst::lookup(const std::string &Name, unsigned Index) const {
-  auto It = TmMap.find({Name, Index});
-  return It == TmMap.end() ? nullptr : &It->second;
+  for (const TmBinding &B : TmBinds)
+    if (B.first.second == Index && B.first.first == Name)
+      return &B.second;
+  return nullptr;
 }
 
 //===----------------------------------------------------------------------===//

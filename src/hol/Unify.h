@@ -29,7 +29,6 @@
 
 #include "hol/Term.h"
 
-#include <map>
 #include <mutex>
 #include <optional>
 #include <unordered_map>
@@ -92,22 +91,26 @@ public:
   void bind(const std::string &Name, unsigned Index, TermRef T);
 
   const TermRef *lookup(const std::string &Name, unsigned Index) const;
+  const TypeRef *lookupTy(const std::string &Name) const;
 
-  bool empty() const { return TyMap.empty() && TmMap.empty(); }
-  size_t size() const { return TyMap.size() + TmMap.size(); }
+  bool empty() const { return TyBinds.empty() && TmBinds.empty(); }
+  size_t size() const { return TyBinds.size() + TmBinds.size(); }
 
-  /// The raw binding maps, in sorted (std::map) order — what the
-  /// certificate writer serializes so the checker can replay apply()
-  /// deterministically (hol/Cert.h).
-  const std::map<std::string, TypeRef> &tyBindings() const { return TyMap; }
-  const std::map<std::pair<std::string, unsigned>, TermRef> &
-  tmBindings() const {
-    return TmMap;
-  }
+  using TyBinding = std::pair<std::string, TypeRef>;
+  using TmBinding = std::pair<std::pair<std::string, unsigned>, TermRef>;
+
+  /// The raw bindings, sorted by key — what the certificate writer
+  /// serializes so the checker can replay apply() deterministically
+  /// (hol/Cert.h).
+  const std::vector<TyBinding> &tyBindings() const { return TyBinds; }
+  const std::vector<TmBinding> &tmBindings() const { return TmBinds; }
 
 private:
-  std::map<std::string, TypeRef> TyMap;
-  std::map<std::pair<std::string, unsigned>, TermRef> TmMap;
+  // A rule binds a handful of names, and apply() looks one up at every
+  // schematic: flat lists kept sorted cost no node per binding and no
+  // key copy per lookup.
+  std::vector<TyBinding> TyBinds;
+  std::vector<TmBinding> TmBinds;
 };
 
 /// Unifies two types, extending \p S. Returns false (leaving S in an

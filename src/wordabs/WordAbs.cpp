@@ -846,6 +846,8 @@ void WordAbstraction::addValRule(const Thm &Rule) {
 }
 
 bool WordAbstraction::containsTracked(const TermRef &T) const {
+  if (!T->freeMask())
+    return false; // no free variable at all
   switch (T->kind()) {
   case Term::Kind::Free:
     return Tracked.count(T->name()) != 0;
@@ -880,13 +882,26 @@ bool WordAbstraction::isTrackedLeaf(const TermRef &T) const {
 
 namespace {
 
+/// Fills \p Args with the arguments of \p T's application spine, true if
+/// there are exactly N. The judgements are read at every rule step, so
+/// this reads them in place rather than collecting a vector.
+template <unsigned N> bool spineArgs(const TermRef &T, TermRef (&Args)[N]) {
+  TermRef U = T;
+  for (unsigned I = N; I-- > 0;) {
+    if (!U->isApp())
+      return false;
+    Args[I] = U->argTerm();
+    U = U->fun();
+  }
+  return !U->isApp();
+}
+
 /// Strips `True &` / `& True` from the precondition of an abs_w_val thm.
 Thm normalizeValPre(Thm Th) {
   WARules &R = rules();
   for (unsigned Iter = 0; Iter != 16; ++Iter) {
-    std::vector<TermRef> Args;
-    stripApp(Th.prop(), Args);
-    if (Args.size() != 4)
+    TermRef Args[4];
+    if (!spineArgs(Th.prop(), Args))
       return Th;
     TermRef PL, PR;
     if (!destConj(Args[0], PL, PR))
@@ -909,9 +924,10 @@ Thm normalizeValPre(Thm Th) {
 
 void destValThm(const Thm &T, TermRef &P, TermRef &F, TermRef &A,
                 TermRef &C) {
-  std::vector<TermRef> Args;
-  stripApp(T.prop(), Args);
-  assert(Args.size() == 4 && "malformed abs_w_val theorem");
+  TermRef Args[4];
+  bool Ok = spineArgs(T.prop(), Args);
+  assert(Ok && "malformed abs_w_val theorem");
+  (void)Ok;
   P = Args[0];
   F = Args[1];
   A = Args[2];
@@ -919,9 +935,10 @@ void destValThm(const Thm &T, TermRef &P, TermRef &F, TermRef &A,
 }
 
 TermRef absOfStmt(const Thm &T) {
-  std::vector<TermRef> Args;
-  stripApp(T.prop(), Args);
-  assert(Args.size() == 5 && "malformed abs_w_stmt theorem");
+  TermRef Args[5];
+  bool Ok = spineArgs(T.prop(), Args);
+  assert(Ok && "malformed abs_w_stmt theorem");
+  (void)Ok;
   return Args[3];
 }
 
@@ -1440,13 +1457,11 @@ std::optional<Thm> WordAbstraction::stmt(const TermRef &C) {
       return ruleMiss(R.Bind);
     // R' = %ra. body with the rx-image patterns of r replaced by ra.
     TermRef AbsBody = absOfStmt(*RT);
-    TermRef Image = betaNorm(Term::mkApp(Rx1, RF));
     std::string RAN = fresh("ra");
     TermRef RAF = Term::mkFree(RAN, A1Abs);
     TermRef Repl = replaceImages(AbsBody, A1, RF, RAF);
     if (!Repl)
       return ruleMiss(R.Bind); // a bare concrete variable survived
-    (void)Image;
     TermRef RAbs = lamDisp(RAN, Args[1]->name(), A1Abs, Repl);
     Thm RAll = Kernel::generalize(RN, A1, *RT);
     Thm Inst = inst(R.Bind,
@@ -1706,8 +1721,12 @@ TermRef WordAbstraction::replaceImages(const TermRef &T, const TypeRef &CTy,
       };
   Collect(CTy, CF, AF);
 
+  // Every pattern holds CF, so a subterm without CF's name is kept whole.
+  uint32_t Bit = Term::freeBit(CF->name());
   std::function<TermRef(const TermRef &)> Go =
       [&](const TermRef &U) -> TermRef {
+    if (!(U->freeMask() & Bit))
+      return U;
     for (const auto &[Pat, Rep] : Pats)
       if (termEq(U, Pat))
         return Rep;

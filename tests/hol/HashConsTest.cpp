@@ -115,6 +115,84 @@ bool structIdentical(const TermRef &A, const TermRef &B) {
   return false;
 }
 
+// The free-variable walks and substBound as they were before they
+// learnt to skip subterms: every node visited, every path rebuilt.
+TermRef walkAbstract(const TermRef &T, const std::string &N, unsigned D) {
+  switch (T->kind()) {
+  case Term::Kind::Free:
+    return T->name() == N ? Term::mkBound(D) : T;
+  case Term::Kind::Bound:
+    return T->index() >= D ? Term::mkBound(T->index() + 1) : T;
+  case Term::Kind::Lam:
+    return Term::mkLam(T->name(), T->type(),
+                       walkAbstract(T->body(), N, D + 1));
+  case Term::Kind::App:
+    return Term::mkApp(walkAbstract(T->fun(), N, D),
+                       walkAbstract(T->argTerm(), N, D));
+  default:
+    return T;
+  }
+}
+
+TermRef walkSubstFree(const TermRef &T, const std::string &N,
+                      const TermRef &Repl) {
+  switch (T->kind()) {
+  case Term::Kind::Free:
+    return T->name() == N ? Repl : T;
+  case Term::Kind::Lam:
+    return Term::mkLam(T->name(), T->type(),
+                       walkSubstFree(T->body(), N, liftLoose(Repl, 1)));
+  case Term::Kind::App:
+    return Term::mkApp(walkSubstFree(T->fun(), N, Repl),
+                       walkSubstFree(T->argTerm(), N, Repl));
+  default:
+    return T;
+  }
+}
+
+TermRef walkSubstBound(const TermRef &T, const TermRef &Arg, unsigned D) {
+  switch (T->kind()) {
+  case Term::Kind::Bound:
+    if (T->index() == D)
+      return liftLoose(Arg, D);
+    return T->index() > D ? Term::mkBound(T->index() - 1) : T;
+  case Term::Kind::Lam:
+    return Term::mkLam(T->name(), T->type(),
+                       walkSubstBound(T->body(), Arg, D + 1));
+  case Term::Kind::App:
+    return Term::mkApp(walkSubstBound(T->fun(), Arg, D),
+                       walkSubstBound(T->argTerm(), Arg, D));
+  default:
+    return T;
+  }
+}
+
+bool walkOccurs(const TermRef &T, const std::string &N) {
+  switch (T->kind()) {
+  case Term::Kind::Free:
+    return T->name() == N;
+  case Term::Kind::Lam:
+    return walkOccurs(T->body(), N);
+  case Term::Kind::App:
+    return walkOccurs(T->fun(), N) || walkOccurs(T->argTerm(), N);
+  default:
+    return false;
+  }
+}
+
+uint32_t walkFreeMask(const TermRef &T) {
+  switch (T->kind()) {
+  case Term::Kind::Free:
+    return Term::freeBit(T->name());
+  case Term::Kind::Lam:
+    return walkFreeMask(T->body());
+  case Term::Kind::App:
+    return walkFreeMask(T->fun()) | walkFreeMask(T->argTerm());
+  default:
+    return 0;
+  }
+}
+
 void collectIds(const TermRef &T, std::set<uint64_t> &TermIds,
                 std::set<const Term *> &Seen) {
   if (!Seen.insert(T.get()).second)
@@ -186,6 +264,38 @@ TEST(HashCons, HashConsistentWithTermEq) {
   TermRef F2 = Term::mkFree("h", boolTy());
   ASSERT_NE(F1.get(), F2.get());
   ASSERT_EQ(F1->hash(), F2->hash());
+}
+
+/// The free-variable walks skip a subterm whose free-name mask lacks the
+/// name (and, abstracting, whose loose bounds stay put), and substBound
+/// keeps a body that a Bound 0 argument leaves unchanged. Over random
+/// terms with loose bounds, each must hand back the node the unpruned
+/// walk builds, for names that occur and one that does not.
+TEST(HashCons, PrunedWalksAgreeWithFullWalks) {
+  Rng R(0xac5eed07);
+  const std::string Names[] = {"x0", "x1", "x2", "x3", "absent"};
+  TermRef Repl = Term::mkApp(Term::mkFree("x1", natTy()), Term::mkBound(0));
+  for (int I = 0; I != 600; ++I) {
+    TermRef T = randomTerm(R, 4);
+    ASSERT_EQ(T->freeMask(), walkFreeMask(T)) << "iteration " << I;
+    for (const std::string &N : Names) {
+      ASSERT_EQ(lambdaFree(N, natTy(), T).get(),
+                Term::mkLam(N, natTy(), walkAbstract(T, N, 0)).get())
+          << "iteration " << I << ", " << N;
+      ASSERT_EQ(substFree(T, N, Repl).get(), walkSubstFree(T, N, Repl).get())
+          << "iteration " << I << ", " << N;
+      ASSERT_EQ(occursFree(T, N), walkOccurs(T, N))
+          << "iteration " << I << ", " << N;
+    }
+    for (unsigned D = 0; D != 3; ++D) {
+      ASSERT_EQ(substBound(T, Term::mkBound(0), D).get(),
+                walkSubstBound(T, Term::mkBound(0), D).get())
+          << "iteration " << I << ", depth " << D;
+      ASSERT_EQ(substBound(T, Repl, D).get(),
+                walkSubstBound(T, Repl, D).get())
+          << "iteration " << I << ", depth " << D;
+    }
+  }
 }
 
 /// Intern ids are unique across *both* arenas: no term ever shares an id

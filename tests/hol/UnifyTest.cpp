@@ -184,3 +184,59 @@ TEST(Unify, TypeInstancesAreExact) {
   GenerationScope Scope;
   CheckAll("scope");
 }
+
+/// The term pass contracts each redex where a binding forms it, so
+/// apply() must still hand out betaNorm of the plain substitution: a
+/// schematic function applied under a binder and at the root, a
+/// projection of a bound pair, and a rule that is itself a projection
+/// redex over a schematic the substitution leaves unbound.
+TEST(Unify, InstantiationContractsTheRedexesItForms) {
+  TypeRef Nat = natTy(), Pr = prodTy(natTy(), boolTy());
+  TermRef R = var("ic_R", funTy(Nat, boolTy()));
+  TermRef F = var("ic_F", funTy(Nat, Nat));
+  TermRef X = var("ic_x", Nat);
+  TermRef P = var("ic_p", Pr);
+  TermRef G = Term::mkFree("ic_g", funTy(Nat, Nat));
+  TermRef Fst = Term::mkConst("fst", funTy(Pr, Nat));
+  TermRef Under = Term::mkLam("r", Nat, Term::mkApp(R, Term::mkBound(0)));
+  TermRef Root = mkEq(Term::mkApp(F, X), Term::mkApp(Fst, P));
+  TermRef Stuck = mkEq(Term::mkApp(Fst, mkPair(var("ic_a", Nat), mkTrue())),
+                       X);
+  Subst S;
+  S.bind("ic_x", 0, mkNumOf(Nat, 7));
+  TermRef H = Term::mkFree("ic_h", funTy(Nat, boolTy()));
+  S.bind("ic_R", 0, Term::mkLam("y", Nat, Term::mkApp(H, Term::mkBound(0))));
+  S.bind("ic_F", 0, Term::mkLam("y", Nat, Term::mkApp(G, Term::mkBound(0))));
+  S.bind("ic_p", 0, mkPair(Term::mkApp(G, X), mkTrue()));
+  for (const TermRef &T : {Under, Root, Stuck}) {
+    TermRef Got = S.apply(T);
+    EXPECT_EQ(Got.get(), betaNorm(onePass(S, T)).get());
+    EXPECT_TRUE(Got->isBetaNormal());
+  }
+  EXPECT_EQ(S.apply(Stuck).get(),
+            mkEq(var("ic_a", Nat), mkNumOf(Nat, 7)).get());
+  EXPECT_EQ(S.apply(Under).get(),
+            Term::mkLam("r", Nat, Term::mkApp(H, Term::mkBound(0))).get());
+}
+
+/// The bindings are listed sorted by key, as the certificate writer
+/// serializes them, and binding a key again replaces its term.
+TEST(Unify, BindingsStaySortedAndRebindingReplaces) {
+  TermRef One = mkNumOf(natTy(), 1), Two = mkNumOf(natTy(), 2);
+  Subst S;
+  S.bind("b", 0, One);
+  S.bind("a", 1, One);
+  S.bind("a", 0, One);
+  S.bind("b", 0, Two);
+  S.bindTy("t2", natTy());
+  S.bindTy("t1", boolTy());
+  ASSERT_EQ(S.tmBindings().size(), 3u);
+  EXPECT_EQ(S.tmBindings()[0].first, std::make_pair(std::string("a"), 0u));
+  EXPECT_EQ(S.tmBindings()[1].first, std::make_pair(std::string("a"), 1u));
+  EXPECT_EQ(S.tmBindings()[2].first, std::make_pair(std::string("b"), 0u));
+  EXPECT_EQ(S.lookup("b", 0)->get(), Two.get());
+  EXPECT_EQ(S.lookup("b", 1), nullptr);
+  ASSERT_EQ(S.tyBindings().size(), 2u);
+  EXPECT_EQ(S.tyBindings()[0].first, "t1");
+  EXPECT_EQ(S.applyTy(Type::var("t2")).get(), natTy().get());
+}
