@@ -6,9 +6,10 @@
 #include "support/Fingerprint.h"
 
 #include <atomic>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
-#include <set>
+#include <unordered_set>
 
 using namespace ac::hol;
 using ac::support::Fingerprint;
@@ -137,10 +138,9 @@ const std::vector<std::string> &ac::hol::certRecordKinds() {
 // Token escaping
 //===----------------------------------------------------------------------===//
 
-std::string ac::hol::certEscape(const std::string &S) {
+/// Appends certEscape(\p S) to \p Out.
+static void putEscaped(std::string &Out, const std::string &S) {
   static const char *Hex = "0123456789abcdef";
-  std::string Out;
-  Out.reserve(S.size());
   for (unsigned char C : S) {
     if (C > 0x20 && C < 0x7f && C != '%' && C != ':') {
       Out.push_back(static_cast<char>(C));
@@ -150,12 +150,33 @@ std::string ac::hol::certEscape(const std::string &S) {
       Out.push_back(Hex[C & 0xf]);
     }
   }
+}
+
+std::string ac::hol::certEscape(const std::string &S) {
+  std::string Out;
+  Out.reserve(S.size());
+  putEscaped(Out, S);
   return Out;
 }
 
 static std::string tok(const std::string &S) { return ":" + certEscape(S); }
 
 static std::string u64Str(uint64_t V) { return std::to_string(V); }
+
+// The type and term records are most of a certificate, so they are
+// appended field by field: a space, then the token or the number.
+
+static void putTok(std::string &Out, const std::string &S) {
+  Out += " :";
+  putEscaped(Out, S);
+}
+
+static void putU64(std::string &Out, uint64_t V) {
+  char Buf[24];
+  char *End = std::to_chars(Buf, Buf + sizeof(Buf), V).ptr;
+  Out.push_back(' ');
+  Out.append(Buf, End);
+}
 
 static std::string int128Str(Int128 V) {
   if (V == 0)
@@ -198,17 +219,18 @@ uint64_t CertWriter::typeId(const TypeRef &Ty) {
   if (It != TypeIds.end())
     return It->second;
   // Children first (types are shallow; recursion is fine here).
-  std::string Rec;
-  if (Ty->isVar()) {
-    Rec = "v " + tok(Ty->name());
-  } else {
-    Rec = "c " + tok(Ty->name());
-    for (const TypeRef &A : Ty->args())
-      Rec += " " + u64Str(typeId(A));
-  }
+  std::vector<uint64_t> Args;
+  for (const TypeRef &A : Ty->args())
+    Args.push_back(typeId(A));
   uint64_t Id = NextType++;
   TypeIds.emplace(Ty->id(), Id);
-  line("y " + u64Str(Id) + " " + Rec);
+  Body += 'y';
+  putU64(Body, Id);
+  Body += Ty->isVar() ? " v" : " c";
+  putTok(Body, Ty->name());
+  for (uint64_t A : Args)
+    putU64(Body, A);
+  Body += '\n';
   return Id;
 }
 
@@ -237,47 +259,61 @@ uint64_t CertWriter::termId(const TermRef &T) {
       }
       continue;
     }
-    std::string Rec;
+    // The type's records go out before this term's line.
+    uint64_t TyId = N->isApp() || N->isBound() ? 0 : typeId(N->type());
+    uint64_t Id = NextTerm++;
+    std::string &B = Body;
+    B += 't';
+    putU64(B, Id);
     switch (N->kind()) {
     case Term::Kind::Const:
-      Rec = "c " + tok(N->name()) + " " + u64Str(typeId(N->type()));
+      B += " c";
+      putTok(B, N->name());
+      putU64(B, TyId);
       break;
     case Term::Kind::Free:
-      Rec = "f " + tok(N->name()) + " " + u64Str(typeId(N->type()));
+      B += " f";
+      putTok(B, N->name());
+      putU64(B, TyId);
       break;
     case Term::Kind::Var:
-      Rec = "v " + tok(N->name()) + " " + u64Str(N->index()) + " " +
-            u64Str(typeId(N->type()));
+      B += " v";
+      putTok(B, N->name());
+      putU64(B, N->index());
+      putU64(B, TyId);
       break;
     case Term::Kind::Bound:
-      Rec = "b " + u64Str(N->index());
+      B += " b";
+      putU64(B, N->index());
       break;
     case Term::Kind::Lam:
-      Rec = "l " + tok(N->name()) + " " + u64Str(typeId(N->type())) + " " +
-            u64Str(TermIds.at(N->body()->id()));
+      B += " l";
+      putTok(B, N->name());
+      putU64(B, TyId);
+      putU64(B, TermIds.at(N->body()->id()));
       break;
     case Term::Kind::App:
-      Rec = "a " + u64Str(TermIds.at(N->fun()->id())) + " " +
-            u64Str(TermIds.at(N->argTerm()->id()));
+      B += " a";
+      putU64(B, TermIds.at(N->fun()->id()));
+      putU64(B, TermIds.at(N->argTerm()->id()));
       break;
     case Term::Kind::Num:
-      Rec = "n " + int128Str(N->value()) + " " + u64Str(typeId(N->type()));
+      B += " n ";
+      B += int128Str(N->value());
+      putU64(B, TyId);
       break;
     }
-    uint64_t Id = NextTerm++;
+    B += '\n';
     TermIds.emplace(N->id(), Id);
-    line("t " + u64Str(Id) + " " + Rec);
   }
   return TermIds.at(T->id());
 }
 
-/// True if every node of \p D can be serialized: instantiate/spec carry
-/// their Replay payload, leaf/rule names are known, axiom leaves are in
-/// the Inventory. Run as a pre-pass so a failed claim emits nothing.
-static bool exportable(const DerivRef &Root,
-                       const std::map<const Deriv *, uint64_t> &Done) {
+static bool
+exportable(const DerivRef &Root,
+           const std::unordered_map<const Deriv *, uint64_t> &Done) {
   std::vector<const Deriv *> Stack{Root.get()};
-  std::set<const Deriv *> Seen;
+  std::unordered_set<const Deriv *> Seen;
   while (!Stack.empty()) {
     const Deriv *D = Stack.back();
     Stack.pop_back();
@@ -348,15 +384,25 @@ bool CertWriter::derivId(const DerivRef &D, uint64_t &Out) {
     const std::string &Name = N->name();
     if (N->kind() == Deriv::Kind::Axiom) {
       uint64_t P = termId(N->concl());
-      Rec = "axiom " + tok(Name) + " " + u64Str(P) + " " +
-            Fingerprint::hex(certTermFingerprint(N->concl()));
+      Rec = "axiom";
+      putTok(Rec, Name);
+      putU64(Rec, P);
+      Rec += ' ';
+      Rec += Fingerprint::hex(certTermFingerprint(N->concl()));
     } else if (N->kind() == Deriv::Kind::Oracle) {
-      Rec = "oracle " + tok(Name) + " " + u64Str(termId(N->concl()));
+      Rec = "oracle";
+      putTok(Rec, Name);
+      putU64(Rec, termId(N->concl()));
     } else {
       std::vector<uint64_t> Prems;
       for (const DerivRef &P : N->premises())
         Prems.push_back(DerivIds.at(P.get()));
-      auto Prem = [&](size_t I) { return u64Str(Prems.at(I)); };
+      // The record's kind and its premises' ids.
+      auto Head = [&](size_t NumPrems) {
+        Rec = Name;
+        for (size_t I = 0; I != NumPrems; ++I)
+          putU64(Rec, Prems.at(I));
+      };
 
       if (Name == "trivial") {
         // Concl is P --> P; the record carries P.
@@ -364,62 +410,55 @@ bool CertWriter::derivId(const DerivRef &D, uint64_t &Out) {
         bool Ok = destImp(N->concl(), A, B);
         assert(Ok && "trivial conclusion is not an implication");
         (void)Ok;
-        Rec = "trivial " + u64Str(termId(A));
+        Head(0);
+        putU64(Rec, termId(A));
       } else if (Name == "instantiate") {
         const Subst &S = N->replay()->S;
-        Rec = "instantiate " + Prem(0) + " " +
-              u64Str(S.tyBindings().size());
-        for (const auto &[TyName, Ty] : S.tyBindings())
-          Rec += " " + tok(TyName) + " " + u64Str(typeId(Ty));
-        Rec += " " + u64Str(S.tmBindings().size());
-        for (const auto &[Key, Tm] : S.tmBindings())
-          Rec += " " + tok(Key.first) + " " + u64Str(Key.second) + " " +
-                 u64Str(termId(Tm));
-      } else if (Name == "mp") {
-        Rec = "mp " + Prem(0) + " " + Prem(1);
+        Head(1);
+        putU64(Rec, S.tyBindings().size());
+        for (const auto &[TyName, Ty] : S.tyBindings()) {
+          putTok(Rec, TyName);
+          putU64(Rec, typeId(Ty));
+        }
+        putU64(Rec, S.tmBindings().size());
+        for (const auto &[Key, Tm] : S.tmBindings()) {
+          putTok(Rec, Key.first);
+          putU64(Rec, Key.second);
+          putU64(Rec, termId(Tm));
+        }
+      } else if (Name == "mp" || Name == "trans" || Name == "combination" ||
+                 Name == "eqMp" || Name == "conjI") {
+        Head(2);
+      } else if (Name == "sym" || Name == "eqTrueIntro" ||
+                 Name == "eqTrueElim") {
+        Head(1);
       } else if (Name == "generalize") {
         // Concl is All (%x:Ty. body); binder name/type live on the Lam.
         TermRef Lam;
         bool Ok = destAll(N->concl(), Lam);
         assert(Ok && Lam->isLam() && "generalize conclusion is not All");
         (void)Ok;
-        Rec = "generalize " + Prem(0) + " " + tok(Lam->name()) + " " +
-              u64Str(typeId(Lam->type()));
+        Head(1);
+        putTok(Rec, Lam->name());
+        putU64(Rec, typeId(Lam->type()));
       } else if (Name == "spec") {
-        Rec = "spec " + Prem(0) + " " + u64Str(termId(N->replay()->Witness));
-      } else if (Name == "refl") {
+        Head(1);
+        putU64(Rec, termId(N->replay()->Witness));
+      } else if (Name == "refl" || Name == "betaConv") {
         TermRef L, R;
         bool Ok = destEq(N->concl(), L, R);
-        assert(Ok && "refl conclusion is not an equality");
+        assert(Ok && "refl/betaConv conclusion is not an equality");
         (void)Ok;
-        Rec = "refl " + u64Str(termId(L));
-      } else if (Name == "sym") {
-        Rec = "sym " + Prem(0);
-      } else if (Name == "trans") {
-        Rec = "trans " + Prem(0) + " " + Prem(1);
-      } else if (Name == "combination") {
-        Rec = "combination " + Prem(0) + " " + Prem(1);
+        Head(0);
+        putU64(Rec, termId(L));
       } else if (Name == "abstract") {
         TermRef L, R;
         bool Ok = destEq(N->concl(), L, R);
         assert(Ok && L->isLam() && "abstract conclusion is not a lam eq");
         (void)Ok;
-        Rec = "abstract " + Prem(0) + " " + tok(L->name()) + " " +
-              u64Str(typeId(L->type()));
-      } else if (Name == "betaConv") {
-        TermRef L, R;
-        bool Ok = destEq(N->concl(), L, R);
-        assert(Ok && "betaConv conclusion is not an equality");
-        (void)Ok;
-        Rec = "betaConv " + u64Str(termId(L));
-      } else if (Name == "eqTrueIntro") {
-        Rec = "eqTrueIntro " + Prem(0);
-      } else if (Name == "eqTrueElim") {
-        Rec = "eqTrueElim " + Prem(0);
-      } else if (Name == "eqMp") {
-        Rec = "eqMp " + Prem(0) + " " + Prem(1);
-      } else if (Name == "conjI") {
-        Rec = "conjI " + Prem(0) + " " + Prem(1);
+        Head(1);
+        putTok(Rec, L->name());
+        putU64(Rec, typeId(L->type()));
       } else if (Name == "conjE") {
         // Which projection? Recoverable by comparing against the
         // premise's conjuncts (exactly the kernel's own side condition).
@@ -427,15 +466,19 @@ bool CertWriter::derivId(const DerivRef &D, uint64_t &Out) {
         bool Ok = destConj(N->premises()[0]->concl(), L, R);
         assert(Ok && "conjE premise is not a conjunction");
         (void)Ok;
-        Rec = "conjE " + Prem(0) + " " +
-              (termEq(N->concl(), L) ? "0" : "1");
+        Head(1);
+        Rec += termEq(N->concl(), L) ? " 0" : " 1";
       } else {
         return false; // unreachable: exportable() vetted the name
       }
     }
     uint64_t Id = NextDeriv++;
     DerivIds.emplace(N, Id);
-    line("d " + u64Str(Id) + " " + Rec);
+    Body += 'd';
+    putU64(Body, Id);
+    Body += ' ';
+    Body += Rec;
+    Body += '\n';
   }
   Out = DerivIds.at(D.get());
   return true;

@@ -56,8 +56,8 @@
 #include "hol/Thm.h"
 
 #include <cstdint>
-#include <map>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 namespace ac::hol {
@@ -135,9 +135,9 @@ private:
   void line(const std::string &S);
 
   std::string Body;
-  std::map<uint64_t, uint64_t> TypeIds;  // intern id -> file id
-  std::map<uint64_t, uint64_t> TermIds;  // intern id -> file id
-  std::map<const Deriv *, uint64_t> DerivIds;
+  std::unordered_map<uint64_t, uint64_t> TypeIds; // intern id -> file id
+  std::unordered_map<uint64_t, uint64_t> TermIds; // intern id -> file id
+  std::unordered_map<const Deriv *, uint64_t> DerivIds;
   uint64_t NextType = 0, NextTerm = 0, NextDeriv = 0;
   size_t NumClaims = 0;
 };
