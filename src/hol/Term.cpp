@@ -20,9 +20,9 @@ static size_t combineHash(size_t A, size_t B) {
 /// The store key of a node whose match compares \p A and \p B. A node's
 /// hash() is alpha-invariant (termEq rejects on it), so alpha-variants
 /// and same-name Frees at different types share it, and a lookup keyed
-/// on it walked past every other member of its class. The key mixes in
-/// exactly what the factory's match compares (child and type ids, the
-/// name), so a lookup meets only real candidates.
+/// on it would walk past every other member of its class. The key mixes
+/// in exactly what the factory's match compares (child and type ids,
+/// the name), so a lookup meets only real candidates.
 static size_t internKey(uint64_t A, uint64_t B) {
   uint64_t X = combineHash(A * 0x9e3779b97f4a7c15ULL, B);
   X ^= X >> 33;

@@ -115,8 +115,8 @@ bool structIdentical(const TermRef &A, const TermRef &B) {
   return false;
 }
 
-// The free-variable walks and substBound as they were before they
-// learnt to skip subterms: every node visited, every path rebuilt.
+// Reference walks for the free-variable functions and substBound: every
+// node visited and every path rebuilt, with no mask or maxLoose shortcut.
 TermRef walkAbstract(const TermRef &T, const std::string &N, unsigned D) {
   switch (T->kind()) {
   case Term::Kind::Free:
